@@ -52,12 +52,13 @@ func runAllocBudget(t *testing.T, k Kernel) {
 	}
 }
 
-// allocKernels filters AllKernels down to one kind.
+// allocKernels filters AllKernels plus the TAGE variants down to one
+// kind: TAGE's Predict/Update/Recover are on the same budget as gshare.
 func allocKernels(t *testing.T, kind CoreKind) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	for _, k := range AllKernels() {
+	for _, k := range append(AllKernels(), tageKernels()...) {
 		if k.Kind != kind {
 			continue
 		}

@@ -143,17 +143,37 @@ func TestGoldenStats(t *testing.T) {
 	}
 }
 
+// tageKernels are test-local TAGE variants of the golden-pinned
+// STRAIGHT and SS machines (the Fig 14 predictor swap). They pin the
+// TAGE predictor's exact behavior in the extra golden corpus and the
+// allocation budget without adding columns to simbench or
+// BENCH_simkernel.json, which key on ExtraKernels.
+func tageKernels() []Kernel {
+	var ks []Kernel
+	for _, name := range []string{"straight-4way", "straight-2way", "ss-4way", "ss-2way"} {
+		k, err := KernelByName(name)
+		if err != nil {
+			panic(err)
+		}
+		k.Name += "-tage"
+		k.Cfg.Predictor = uarch.PredTAGE
+		ks = append(ks, k)
+	}
+	return ks
+}
+
 // TestGoldenStatsExtra pins the kernels added after the embedded golden
-// corpus froze (ExtraKernels: the CG-OoO comparison core) against their
-// own golden file. The file is deliberately NOT //go:embed-ded: adding
-// or re-recording extra kernels must not move perf.VersionSalt, which
-// fingerprints only golden_stats.json. Regenerate with:
+// corpus froze (ExtraKernels: the CG-OoO comparison core; tageKernels:
+// the TAGE variants) against their own golden file. The file is
+// deliberately NOT //go:embed-ded: adding or re-recording extra kernels
+// must not move perf.VersionSalt, which fingerprints only
+// golden_stats.json. Regenerate with:
 //
 //	go test ./internal/perf -run TestGoldenStatsExtra -update
 func TestGoldenStatsExtra(t *testing.T) {
 	path := filepath.Join("testdata", "golden_stats_extra.json")
 	got := map[string]goldenEntry{}
-	for _, k := range ExtraKernels() {
+	for _, k := range append(ExtraKernels(), tageKernels()...) {
 		for _, w := range workloads.All {
 			got[fmt.Sprintf("%s/%s", k.Name, w)] = runGolden(t, k, w)
 		}
