@@ -27,6 +27,12 @@
 //     dumps and fault constructors that hot code calls only when the
 //     simulation is already failing.
 //
+// Hot functions must also not take a receiver or parameter by value
+// when its type is wider than maxByValueBytes (gc/amd64 sizes; types
+// that depend on a type parameter are skipped): every call copies it,
+// which the runtime does with duffcopy. Such a finding is waived only
+// with `//lint:alloc <reason>` on the declaration's line.
+//
 // Code dominated by a tracing-enabled guard (`if c.tr != nil { … }` or
 // the tail of a function after `if c.tr == nil { return }`) is exempt:
 // the allocation budget applies to the untraced fast path only, which
@@ -50,6 +56,13 @@ var Analyzer = &lint.Analyzer{
 		"allocation-inducing constructs (escapes: //lint:alloc, //lint:coldpath)",
 	Run: run,
 }
+
+// maxByValueBytes is the widest receiver or parameter a hot function
+// may take by value: eight words.
+const maxByValueBytes = 64
+
+// sizes are the gc/amd64 type sizes the by-value rule measures with.
+var sizes = types.SizesFor("gc", "amd64")
 
 type checker struct {
 	pass *lint.Pass
@@ -217,6 +230,7 @@ func (ck *checker) flag(pos token.Pos, format string, args ...any) {
 
 // checkFunc scans one hot function body.
 func (ck *checker) checkFunc(fd *ast.FuncDecl) {
+	ck.checkByValue(fd)
 	skip := ck.traceRegions(fd.Body)
 	allowedAppend := map[*ast.CallExpr]bool{}
 
@@ -297,6 +311,56 @@ func (ck *checker) checkFunc(fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// checkByValue flags a receiver or parameter wider than
+// maxByValueBytes that the hot function takes by value.
+func (ck *checker) checkByValue(fd *ast.FuncDecl) {
+	var fields []*ast.Field
+	if fd.Recv != nil {
+		fields = append(fields, fd.Recv.List...)
+	}
+	fields = append(fields, fd.Type.Params.List...)
+	for _, f := range fields {
+		tv, ok := ck.pass.Info.Types[f.Type]
+		if !ok || dependsOnTypeParam(tv.Type) {
+			continue
+		}
+		if n := sizes.Sizeof(tv.Type); n > maxByValueBytes {
+			what := "parameter"
+			if fd.Recv != nil && f == fd.Recv.List[0] {
+				what = "receiver"
+			}
+			ck.flag(f.Type.Pos(), "%s of type %s (%d bytes) is copied on every call in hot path; pass a pointer",
+				what, tv.Type, n)
+		}
+	}
+}
+
+// dependsOnTypeParam reports whether t's size depends on a type
+// parameter (unknown until instantiation).
+func dependsOnTypeParam(t types.Type) bool {
+	switch t := t.(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Named:
+		args := t.TypeArgs()
+		for i := 0; i < args.Len(); i++ {
+			if dependsOnTypeParam(args.At(i)) {
+				return true
+			}
+		}
+		return args.Len() == 0 && t.TypeParams().Len() > 0
+	case *types.Array:
+		return dependsOnTypeParam(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if dependsOnTypeParam(t.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // traceRegions computes the nodes that belong to the tracing-enabled

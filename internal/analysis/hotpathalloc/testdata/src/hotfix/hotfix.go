@@ -156,3 +156,51 @@ func (g *GenUnit) Execute(v int) int {
 type Halfway struct{ m map[int]int }
 
 func (h *Halfway) Execute(v int) int { return h.m[v] }
+
+// Config is nine words wide: hot code must take it by pointer.
+type Config struct {
+	w [9]int64
+}
+
+// Small is exactly eight words: still fine by value.
+type Small struct {
+	w [8]int64
+}
+
+// Latency mirrors a configuration lookup called once per instruction.
+//
+//lint:hotpath
+func (c Config) Latency(n int) int { // want `receiver of type hotfix\.Config \(72 bytes\) is copied on every call in hot path`
+	return int(c.w[n%9])
+}
+
+// Width takes the wide type by pointer and the small one by value: ok.
+//
+//lint:hotpath
+func (c *Config) Width(s Small) int { return int(c.w[0] + s.w[0]) }
+
+// merge copies its argument in, and the waived variant says why.
+//
+//lint:hotpath
+func merge(a *Config, b Config) int { // want `parameter of type hotfix\.Config \(72 bytes\) is copied on every call in hot path`
+	return int(a.w[0] + b.w[0])
+}
+
+//lint:hotpath
+func mergeWaived(b Config) int { //lint:alloc called once per run, not per cycle
+	return int(b.w[0])
+}
+
+// Slot is generic: its size depends on T, so by-value uses are skipped.
+type Slot[T any] struct {
+	v [16]T
+}
+
+//lint:hotpath
+func (s Slot[T]) First() T { return s.v[0] }
+
+//lint:hotpath
+func firstOf[T any](s Slot[T], wide [16]T) T { return s.v[0] }
+
+// coldCopy is not reachable from any root: copies are fine.
+func coldCopy(c Config) int { return int(c.w[1]) }

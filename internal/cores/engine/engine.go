@@ -320,15 +320,13 @@ type Core[I Inst] struct {
 
 	retireFn  uarch.RetireFn //lint:resetless attachment, survives batch reuse
 	InjectBug string         //lint:resetless test configuration, survives batch reuse
+	// crossValidate checks every retirement against the golden emulator
+	// (Options.CrossValidate).
+	crossValidate bool //lint:resetless run option, set by every Run and RunCycles
 
 	// ret is the scratch retirement record finishRetire hands to the
 	// policy, kept on the core so the pointer never escapes to the heap.
 	ret uarch.Retirement
-	// feScratch is the fetch-entry under construction; kept on the core
-	// because its address is passed through the Policy interface
-	// (PredictControl), which would otherwise force a heap allocation
-	// per fetched instruction.
-	feScratch FEEntry[I]
 
 	// Idle-skip state (quiesce.go): lastSig gates skip attempts on the
 	// activity signature of the previous step; skip holds telemetry.
@@ -457,6 +455,7 @@ func (c *Core[I]) Run(opts Options) (*Result, error) {
 	c.retireFn = opts.RetireFn
 	c.InjectBug = opts.InjectBug
 	c.noIdleSkip = opts.NoIdleSkip
+	c.crossValidate = opts.CrossValidate
 	maxCycles := opts.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = FarFuture
@@ -485,7 +484,7 @@ func (c *Core[I]) Run(opts Options) (*Result, error) {
 		if d := lastProgress + 500_001 - c.Cycle; d < limit {
 			limit = d
 		}
-		if _, err := c.advance(opts, limit); err != nil {
+		if _, err := c.advance(limit); err != nil {
 			return nil, err
 		}
 	}
@@ -501,8 +500,9 @@ func (c *Core[I]) RunCycles(opts Options, n int64) error {
 	c.retireFn = opts.RetireFn
 	c.InjectBug = opts.InjectBug
 	c.noIdleSkip = opts.NoIdleSkip
+	c.crossValidate = opts.CrossValidate
 	for done := int64(0); done < n && !c.Exited; {
-		k, err := c.advance(opts, n-done)
+		k, err := c.advance(n - done)
 		if err != nil {
 			return err
 		}
@@ -520,11 +520,11 @@ func (c *Core[I]) Stats() uarch.Stats { return c.Stat }
 // step advances one cycle: commit, execute-complete, issue, dispatch,
 // fetch, then recovery resolution (order chosen so same-cycle hand-offs
 // behave like a real pipeline with forwarding).
-func (c *Core[I]) step(opts Options) error {
+func (c *Core[I]) step() error {
 	if c.tr != nil {
 		c.tr.BeginCycle(c.Cycle)
 	}
-	if err := c.commit(opts); err != nil {
+	if err := c.commit(); err != nil {
 		return err
 	}
 	c.completeExecution()

@@ -47,8 +47,19 @@ func (c *Core[I]) fetch() {
 			c.FetchHalted = true
 			return
 		}
-		e := &c.feScratch
-		*e = FEEntry[I]{PC: pc, Inst: inst, Info: info, FetchedAt: c.Cycle}
+		// Build the entry in its queue slot. The slot may hold a
+		// departed entry, so every field is written.
+		e := c.feQueue.PushBackRef()
+		e.PC = pc
+		e.Inst = inst
+		e.Info = info
+		e.FetchedAt = c.Cycle
+		e.Tid = 0
+		e.IsBranch = false
+		e.PredTaken = false
+		e.PredTarget = 0
+		e.PredMeta = 0
+		e.RASSnap = nil
 		if c.tr != nil {
 			e.Tid = c.tr.Fetch(pc, inst.String())
 		}
@@ -79,7 +90,6 @@ func (c *Core[I]) fetch() {
 			e.PredTaken = taken
 			e.PredTarget = target
 		}
-		c.feQueue.PushBack(*e)
 		c.Stat.FetchedInsts++
 		pc = nextPC
 		c.FetchPC = pc
@@ -97,7 +107,7 @@ func (c *Core[I]) TraceStall(cause ptrace.StallCause) {
 	}
 	var id ptrace.ID
 	if c.feQueue.Len() > 0 {
-		id = c.feQueue.Front().Tid
+		id = c.feQueue.FrontRef().Tid
 	}
 	c.tr.Stall(cause, id)
 }
@@ -117,7 +127,7 @@ func (c *Core[I]) dispatch() error {
 			c.TraceStall(ptrace.StallFrontEnd)
 			return nil
 		}
-		e := c.feQueue.Front()
+		e := c.feQueue.FrontRef()
 		if c.Cycle-e.FetchedAt < int64(c.Cfg.FrontEndLatency) {
 			return nil
 		}
@@ -180,7 +190,9 @@ func (c *Core[I]) dispatch() error {
 			spadds++
 		}
 		u.RASSnap = e.RASSnap
-		c.feQueue.PopFront()
+		// e stays readable below: only fetch, later this cycle, pushes
+		// into the queue and so reuses the dropped slot.
+		c.feQueue.DropFront()
 		c.ROB.PushBack(u)
 		if isLoad || isStore {
 			u.LSQE = c.LSQ.Allocate(&u.UOp)

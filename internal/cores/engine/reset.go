@@ -29,7 +29,7 @@ func (c *Core[I]) Reset(img *program.Image) {
 	// Recycle pooled resources still owned by in-flight state before
 	// clearing the structures that reference them.
 	for i := 0; i < c.feQueue.Len(); i++ {
-		if s := c.feQueue.At(i).RASSnap; s != nil {
+		if s := c.feQueue.AtRef(i).RASSnap; s != nil {
 			c.snapPut(s)
 		}
 	}
@@ -65,7 +65,6 @@ func (c *Core[I]) Reset(img *program.Image) {
 	c.Exited = false
 	c.ExitCode = 0
 	c.ret = uarch.Retirement{}
-	c.feScratch = FEEntry[I]{}
 	c.lastSig = ^uint64(0)
 	c.skip = uarch.SkipStats{}
 	c.outBuf.buf = c.outBuf.buf[:0]

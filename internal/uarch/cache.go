@@ -15,10 +15,13 @@ package uarch
 type Cache struct {
 	cfg   CacheConfig //lint:resetless geometry, fixed at construction
 	sets  int         //lint:resetless geometry, fixed at construction
+	ways  int         //lint:resetless geometry, fixed at construction
 	shift uint        //lint:resetless line offset bits, fixed at construction
-	tags  [][]uint64  // tags[set][way]; 0 = invalid (tag stored +1)
-	lru   [][]uint32  // larger = more recent
-	tick  uint32
+	// tags and lru hold one set after another (set s is
+	// [s*ways, (s+1)*ways)), in two flat arrays without pointers.
+	tags []uint64 // 0 = invalid (tag stored +1)
+	lru  []uint32 // larger = more recent
+	tick uint32
 
 	Hits   uint64
 	Misses uint64
@@ -35,28 +38,24 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<shift < line {
 		shift++
 	}
-	c := &Cache{cfg: cfg, sets: sets, shift: shift}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint32, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.lru[i] = make([]uint32, cfg.Ways)
-	}
-	return c
+	return &Cache{cfg: cfg, sets: sets, ways: cfg.Ways, shift: shift,
+		tags: make([]uint64, sets*cfg.Ways), lru: make([]uint32, sets*cfg.Ways)}
 }
 
-func (c *Cache) index(addr uint32) (set int, tag uint64) {
+// set returns the tag and LRU ways of addr's set and addr's stored tag.
+func (c *Cache) set(addr uint32) (tags []uint64, lru []uint32, tag uint64) {
 	line := uint64(addr) >> c.shift
-	return int(line % uint64(c.sets)), line + 1
+	lo := int(line%uint64(c.sets)) * c.ways
+	return c.tags[lo : lo+c.ways], c.lru[lo : lo+c.ways], line + 1
 }
 
 // Lookup probes the cache; on hit it refreshes LRU.
 func (c *Cache) Lookup(addr uint32) bool {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
+	tags, lru, tag := c.set(addr)
+	for w, t := range tags {
 		if t == tag {
 			c.tick++
-			c.lru[set][w] = c.tick
+			lru[w] = c.tick
 			c.Hits++
 			return true
 		}
@@ -67,25 +66,25 @@ func (c *Cache) Lookup(addr uint32) bool {
 
 // Fill installs the line, evicting LRU.
 func (c *Cache) Fill(addr uint32) {
-	set, tag := c.index(addr)
+	tags, lru, tag := c.set(addr)
 	victim := 0
-	for w, t := range c.tags[set] {
+	for w, t := range tags {
 		if t == tag {
 			return // already present
 		}
-		if c.lru[set][w] < c.lru[set][victim] {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
 	c.tick++
-	c.tags[set][victim] = tag
-	c.lru[set][victim] = c.tick
+	tags[victim] = tag
+	lru[victim] = c.tick
 }
 
 // Probe checks presence without updating LRU or stats.
 func (c *Cache) Probe(addr uint32) bool {
-	set, tag := c.index(addr)
-	for _, t := range c.tags[set] {
+	tags, _, tag := c.set(addr)
+	for _, t := range tags {
 		if t == tag {
 			return true
 		}

@@ -105,21 +105,21 @@ type Config struct {
 	DivLatency int
 }
 
-func (c Config) alu() int {
+func (c *Config) alu() int {
 	if c.ALULatency == 0 {
 		return 1
 	}
 	return c.ALULatency
 }
 
-func (c Config) mul() int {
+func (c *Config) mul() int {
 	if c.MulLatency == 0 {
 		return 3
 	}
 	return c.MulLatency
 }
 
-func (c Config) div() int {
+func (c *Config) div() int {
 	if c.DivLatency == 0 {
 		return 20
 	}
@@ -129,7 +129,7 @@ func (c Config) div() int {
 // LatencyFor returns the execution latency of a class.
 //
 //lint:hotpath
-func (c Config) LatencyFor(cl Class) int {
+func (c *Config) LatencyFor(cl Class) int {
 	switch cl {
 	case ClassMul:
 		return c.mul()

@@ -83,6 +83,46 @@ func (r *Ring[T]) At(i int) T {
 // Front returns the head element without removing it.
 func (r *Ring[T]) Front() T { return r.At(0) }
 
+// The by-reference accessors below serve rings of wide elements (the
+// fetch queue), where copying an element in or out costs more than the
+// work done on it.
+
+// PushBackRef appends a slot at the tail and returns a pointer to it.
+// The slot keeps whatever element last occupied it: the caller must
+// write every field.
+func (r *Ring[T]) PushBackRef() *T {
+	if r.n == len(r.buf) {
+		r.grow(r.n*2 + 1)
+	}
+	p := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
+	r.n++
+	return p
+}
+
+// AtRef returns a pointer to the element i positions from the head. The
+// pointer stays valid while the element is resident and the ring does
+// not grow; after DropFront or Truncate removes the element, its slot
+// is only overwritten by a later push.
+func (r *Ring[T]) AtRef(i int) *T {
+	if i < 0 || i >= r.n {
+		panic("uarch: ring index out of range")
+	}
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
+
+// FrontRef returns a pointer to the head element (see AtRef).
+func (r *Ring[T]) FrontRef() *T { return r.AtRef(0) }
+
+// DropFront removes the head element without copying it out. It panics
+// on an empty ring.
+func (r *Ring[T]) DropFront() {
+	if r.n == 0 {
+		panic("uarch: DropFront on empty ring")
+	}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
 // Truncate drops elements from the tail until n remain.
 func (r *Ring[T]) Truncate(n int) {
 	if n < 0 || n > r.n {

@@ -11,6 +11,11 @@ package uarch
 // prediction checkpoints it (plus the provider context) in a bounded
 // ring, and Recover restores the checkpoint on a misprediction — so deep
 // speculation never corrupts training state.
+//
+// Each tagged table hashes its history window through three folded
+// histories (the index and two tag hashes). As in CBP-TAGE they are
+// circular shift registers updated on every history push, so a
+// prediction reads them instead of re-folding up to 130 history bits.
 
 const (
 	tageTables   = 7
@@ -39,25 +44,59 @@ func (h *tageHistory) push(taken bool) {
 	h[2] = h[2]<<1 | carry2
 }
 
-// fold compresses the most recent n bits into `bits` output bits.
-func (h *tageHistory) fold(n, bits int) uint32 {
-	var f uint32
-	for i := 0; i < n; i++ {
-		bit := uint32(h[i/64]>>(uint(i)%64)) & 1
-		f ^= bit << (uint(i) % uint(bits))
+// bit returns the outcome i pushes ago.
+func (h *tageHistory) bit(i int) uint16 { return uint16(h[i/64]>>(uint(i)%64)) & 1 }
+
+// tageFoldBits are the widths of each table's three folded histories:
+// the index hash and the two tag hashes.
+var tageFoldBits = [3]uint{tageIdxBits, tageTagBits, tageTagBits - 1}
+
+// tageFoldOut[i][k] is the bit of fold k that table i's oldest history
+// bit lands in (history length mod fold width): where the bit leaving
+// the window on a push must be cancelled.
+var tageFoldOut = func() (out [tageTables][3]uint) {
+	for i, n := range tageHistLens {
+		for k, w := range tageFoldBits {
+			out[i][k] = uint(n) % w
+		}
 	}
-	return f
+	return out
+}()
+
+// tageFolds[i][k] is the most recent tageHistLens[i] history bits
+// folded into tageFoldBits[k] bits: bit j of the history is XORed into
+// bit j mod width.
+type tageFolds [tageTables][3]uint16
+
+// push shifts one outcome into the folds. Folding the shifted history
+// equals rotating every fold left by one within its width, adding the
+// new bit at 0, and cancelling the bit that left the window (h is the
+// history before the push).
+func (f *tageFolds) push(h *tageHistory, taken bool) {
+	in := uint16(b2u(taken))
+	for i, n := range tageHistLens {
+		out, pos := h.bit(n-1), &tageFoldOut[i]
+		f[i][0] = rotPush(f[i][0], tageIdxBits, in, out<<pos[0])
+		f[i][1] = rotPush(f[i][1], tageTagBits, in, out<<pos[1])
+		f[i][2] = rotPush(f[i][2], tageTagBits-1, in, out<<pos[2])
+	}
 }
 
+// rotPush rotates the w-bit fold v left by one and XORs in the new bit
+// (at 0) and the cancelled old bit (already shifted into place).
+func rotPush(v uint16, w uint, in, out uint16) uint16 {
+	return (v<<1 | v>>(w-1) ^ in ^ out) & (1<<w - 1)
+}
+
+// tageMeta is a prediction's checkpoint. Update recomputes the table
+// indices and tags from the branch PC and the checkpointed folds.
 type tageMeta struct {
 	hist     tageHistory
+	folds    tageFolds
 	provider int8
 	pred     bool
 	provPred bool
 	altPred  bool
-	idx      [tageTables]uint16 // indices at prediction time
-	tags     [tageTables]uint16
-	baseIdx  uint32
 }
 
 // TAGE is the 8-component predictor.
@@ -65,6 +104,7 @@ type TAGE struct {
 	base   []uint8
 	tables [tageTables][]tageEntry
 	hist   tageHistory
+	folds  tageFolds
 	useAlt int8
 	rng    uint32
 
@@ -86,45 +126,56 @@ func NewTAGE() *TAGE {
 	return t
 }
 
-func (t *TAGE) indexOf(table int, pc uint32, h *tageHistory) uint16 {
-	f := h.fold(tageHistLens[table], tageIdxBits)
-	return uint16((pc>>2 ^ pc>>(2+tageIdxBits) ^ f) & (1<<tageIdxBits - 1))
+func tageBaseIdx(pc uint32) uint32 { return (pc >> 2) & (1<<tageBaseBits - 1) }
+
+// tageIndex and tageTag hash the branch PC with one table's folds.
+func tageIndex(pc uint32, f *[3]uint16) uint16 {
+	return uint16((pc>>2 ^ pc>>(2+tageIdxBits) ^ uint32(f[0])) & (1<<tageIdxBits - 1))
 }
 
-func (t *TAGE) tagOf(table int, pc uint32, h *tageHistory) uint16 {
-	f1 := h.fold(tageHistLens[table], tageTagBits)
-	f2 := h.fold(tageHistLens[table], tageTagBits-1)
-	return uint16((pc>>2 ^ uint32(f1) ^ uint32(f2)<<1) & (1<<tageTagBits - 1))
+func tageTag(pc uint32, f *[3]uint16) uint16 {
+	return uint16((pc>>2 ^ uint32(f[1]) ^ uint32(f[2])<<1) & (1<<tageTagBits - 1))
 }
 
-// Predict implements DirPredictor.
+// push records one outcome in the speculative history and its folds.
+func (t *TAGE) push(taken bool) {
+	t.folds.push(&t.hist, taken)
+	t.hist.push(taken)
+}
+
+// Predict implements DirPredictor. The checkpoint is built in place in
+// its ring slot; every field is written, so a stale slot leaks nothing.
 func (t *TAGE) Predict(pc uint32) (bool, uint64) {
-	m := tageMeta{provider: -1, hist: t.hist, baseIdx: (pc >> 2) & (1<<tageBaseBits - 1)}
+	id := t.nextID
+	t.nextID++
+	m := &t.metas[id%tageMetaRing]
+	m.hist = t.hist
+	m.folds = t.folds
+	m.provider = -1
+	m.provPred = false
+	var provider *tageEntry
 	alt := -1
-	for i := 0; i < tageTables; i++ {
-		m.idx[i] = t.indexOf(i, pc, &t.hist)
-		m.tags[i] = t.tagOf(i, pc, &t.hist)
-	}
 	for i := tageTables - 1; i >= 0; i-- {
-		e := &t.tables[i][m.idx[i]]
-		if e.tag == m.tags[i] {
+		f := &t.folds[i]
+		e := &t.tables[i][tageIndex(pc, f)]
+		if e.tag == tageTag(pc, f) {
 			if m.provider < 0 {
 				m.provider = int8(i)
 				m.provPred = e.ctr >= 0
+				provider = e
 			} else {
 				alt = i
-				m.altPred = t.tables[i][m.idx[i]].ctr >= 0
+				m.altPred = e.ctr >= 0
 				break
 			}
 		}
 	}
-	basePred := t.base[m.baseIdx] >= 2
+	basePred := t.base[tageBaseIdx(pc)] >= 2
 	if alt < 0 {
 		m.altPred = basePred
 	}
 	m.pred = basePred
-	if m.provider >= 0 {
-		e := &t.tables[m.provider][m.idx[m.provider]]
+	if e := provider; e != nil {
 		weak := e.ctr == 0 || e.ctr == -1
 		if weak && e.use == 0 && t.useAlt >= 0 {
 			m.pred = m.altPred
@@ -132,10 +183,7 @@ func (t *TAGE) Predict(pc uint32) (bool, uint64) {
 			m.pred = m.provPred
 		}
 	}
-	id := t.nextID
-	t.nextID++
-	t.metas[id%tageMetaRing] = m
-	t.hist.push(m.pred)
+	t.push(m.pred)
 	return m.pred, id
 }
 
@@ -145,7 +193,7 @@ func (t *TAGE) Update(pc uint32, taken bool, metaID uint64) {
 	correct := m.pred == taken
 
 	if m.provider >= 0 {
-		e := &t.tables[m.provider][m.idx[m.provider]]
+		e := &t.tables[m.provider][tageIndex(pc, &m.folds[m.provider])]
 		bumpCtr(&e.ctr, taken)
 		if m.provPred != m.altPred {
 			if m.provPred == taken {
@@ -157,12 +205,12 @@ func (t *TAGE) Update(pc uint32, taken bool, metaID uint64) {
 			}
 		}
 	} else {
-		c := t.base[m.baseIdx]
-		if taken && c < 3 {
-			t.base[m.baseIdx] = c + 1
+		b := &t.base[tageBaseIdx(pc)]
+		if taken && *b < 3 {
+			*b++
 		}
-		if !taken && c > 0 {
-			t.base[m.baseIdx] = c - 1
+		if !taken && *b > 0 {
+			*b--
 		}
 	}
 
@@ -180,9 +228,9 @@ func (t *TAGE) Update(pc uint32, taken bool, metaID uint64) {
 		start := int(m.provider) + 1
 		allocated := false
 		for i := start; i < tageTables; i++ {
-			e := &t.tables[i][m.idx[i]]
+			e := &t.tables[i][tageIndex(pc, &m.folds[i])]
 			if e.use == 0 {
-				e.tag = m.tags[i]
+				e.tag = tageTag(pc, &m.folds[i])
 				if taken {
 					e.ctr = 0
 				} else {
@@ -197,7 +245,7 @@ func (t *TAGE) Update(pc uint32, taken bool, metaID uint64) {
 		if !allocated {
 			t.rng = t.rng*1664525 + 1013904223
 			i := start + int(t.rng%uint32(tageTables-start))
-			e := &t.tables[i][m.idx[i]]
+			e := &t.tables[i][tageIndex(pc, &m.folds[i])]
 			if e.use > 0 {
 				e.use--
 			}
@@ -219,7 +267,8 @@ func bumpCtr(c *int8, taken bool) {
 func (t *TAGE) Recover(metaID uint64, taken bool) {
 	m := &t.metas[metaID%tageMetaRing]
 	t.hist = m.hist
-	t.hist.push(taken)
+	t.folds = m.folds
+	t.push(taken)
 }
 
 // Name implements DirPredictor.
