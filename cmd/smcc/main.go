@@ -35,12 +35,12 @@ func main() {
 		fatal(err)
 	}
 
-	tgt := core.TargetStraight
-	if *target == "riscv" {
-		tgt = core.TargetRISCV
+	isa, err := core.LookupISA(*target)
+	if err != nil {
+		fatal(err)
 	}
 	tc := core.NewToolchain()
-	prog, err := tc.CompileC(string(src), tgt, core.CompileOptions{
+	prog, err := tc.CompileC(string(src), isa.Target, core.CompileOptions{
 		MaxDistance:    *maxDist,
 		RedundancyElim: *re,
 	})

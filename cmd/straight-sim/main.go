@@ -15,129 +15,11 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"os"
 
-	"straight/internal/cores/straightcore"
-	"straight/internal/profiling"
-	"straight/internal/ptrace"
-	"straight/internal/sampling"
-	"straight/internal/sasm"
-	"straight/internal/uarch"
+	"straight/internal/simcli"
 )
 
 func main() {
-	config := flag.String("config", "4way", "model: 2way or 4way (Table I)")
-	tage := flag.Bool("tage", false, "use the TAGE predictor instead of gshare")
-	validate := flag.Bool("validate", false, "cross-validate against the functional emulator")
-	sample := flag.Bool("sample", false, "sampled simulation: fast-forward + measured sample windows")
-	sampleInterval := flag.Uint64("sample-interval", 0, "override the interval plan's checkpoint spacing")
-	sampleWarmup := flag.Uint64("sample-warmup", 0, "override the interval plan's detailed warmup length")
-	sampleWindow := flag.Uint64("sample-window", 0, "override the interval plan's measured window length")
-	sampleWarmMem := flag.Uint64("sample-warmmem", 0, "override the interval plan's functional-warming burst length")
-	tracePath := flag.String("trace", "", "write a Kanata pipeline trace to this path (plus <path>.series.json)")
-	traceWindow := flag.Int64("trace-window", 0, "trace time-series window in cycles (0 = default)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: straight-sim [flags] file.s")
-		os.Exit(2)
-	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	im, err := sasm.Assemble(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	cfg := uarch.Straight4Way()
-	if *config == "2way" {
-		cfg = uarch.Straight2Way()
-	}
-	if *tage {
-		cfg.Predictor = uarch.PredTAGE
-	}
-	if *sample {
-		if *tracePath != "" || *validate {
-			fatal(fmt.Errorf("-sample cannot be combined with -trace or -validate"))
-		}
-		plan := sampling.DefaultPlan()
-		overridePlan(&plan, *sampleInterval, *sampleWarmup, *sampleWindow, *sampleWarmMem)
-		tgt, err := sampling.NewTarget("straight", cfg, im)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := sampling.Run(tgt, plan, sampling.Options{Output: os.Stdout})
-		if err != nil {
-			fatal(err)
-		}
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "\n--- %s (sampled) ---\n%s", cfg.Name, rep.String())
-		os.Exit(int(rep.ExitCode))
-	}
-	opts := straightcore.Options{CrossValidate: *validate, Output: os.Stdout}
-	var traceFile *os.File
-	if *tracePath != "" {
-		traceFile, err = os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Tracer = ptrace.New(traceFile, ptrace.Config{Window: *traceWindow})
-	}
-	res, err := straightcore.New(cfg, im, opts).Run(opts)
-	if err != nil {
-		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
-	if opts.Tracer != nil {
-		if err := finishTrace(opts.Tracer, traceFile, *tracePath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %s (series: %s)\n", *tracePath, ptrace.SeriesPath(*tracePath))
-	}
-	fmt.Fprintf(os.Stderr, "\n--- %s ---\n%s", cfg.Name, res.Stats.String())
-	os.Exit(int(res.ExitCode))
-}
-
-func finishTrace(tr *ptrace.Tracer, f *os.File, path string) error {
-	if err := tr.Close(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return ptrace.WriteSeriesFile(ptrace.SeriesPath(path), tr.Series())
-}
-
-// overridePlan applies the non-zero -sample-* flag overrides to the
-// default interval plan.
-func overridePlan(p *sampling.Plan, interval, warmup, window, warmMem uint64) {
-	if interval > 0 {
-		p.Interval = interval
-	}
-	if warmup > 0 {
-		p.Warmup = warmup
-	}
-	if window > 0 {
-		p.Window = window
-	}
-	if warmMem > 0 {
-		p.WarmMem = warmMem
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "straight-sim:", err)
-	os.Exit(1)
+	os.Exit(simcli.Main("straight-sim", "straight", os.Args[1:], os.Stdout, os.Stderr, nil))
 }

@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssRes, err := bench.RunSS(uarch.SS2Way(), ssIm)
+	ssRes, err := bench.RunCore(bench.CoreSS, uarch.SS2Way(), ssIm, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stRes, err := bench.RunStraight(uarch.Straight2Way(), stIm)
+	stRes, err := bench.RunCore(bench.CoreStraight, uarch.Straight2Way(), stIm, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

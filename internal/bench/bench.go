@@ -5,21 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"straight/internal/backend/riscvbe"
-	"straight/internal/backend/straightbe"
-	"straight/internal/cores/cgcore"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
-	"straight/internal/emu/riscvemu"
-	"straight/internal/emu/straightemu"
-	"straight/internal/ir"
-	"straight/internal/irgen"
-	"straight/internal/minic"
+	"straight/internal/core"
+	"straight/internal/cores/engine"
 	"straight/internal/program"
 	"straight/internal/ptrace"
-	"straight/internal/rasm"
-	"straight/internal/sasm"
-	"straight/internal/sverify"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
 )
@@ -52,7 +41,7 @@ const (
 type buildKey struct {
 	w       workloads.Workload
 	iters   int
-	target  string // "riscv" or "straight"
+	isa     string // core.ISA.Name
 	maxDist int
 	mode    CompilerMode
 }
@@ -101,88 +90,62 @@ func buildOnce(key buildKey, f func() (*program.Image, error)) (*program.Image, 
 	return entry.im, entry.err
 }
 
-// module parses, lowers and optimizes a workload into a fresh IR module.
-// Each build gets its own module: the backends annotate the module they
-// compile (value-ID counters and synthetic values), so a module shared
-// across builds would make compilation order-dependent and racy.
-func module(w workloads.Workload, iters int) (*ir.Module, error) {
-	src, err := workloads.Source(w, iters)
+// Build compiles a workload for the ISA engine kind k runs, through
+// the facade's toolchain (core.Toolchain.CompileC). Images are cached
+// by (ISA, workload, iters, maxDist, mode): each distinct key is built
+// exactly once, even under concurrent callers, and the returned image
+// is shared read-only. maxDist and mode apply only to distance-operand
+// ISAs, so every kind on one ISA shares its image. STRAIGHT images are
+// proven hazard-consistent at maxDist by the backend's post-compile
+// sverify assertion (straightbe.Compile), once per key.
+func Build(k CoreKind, w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
+	isa, _, err := k.resolve()
 	if err != nil {
 		return nil, err
 	}
-	file, err := minic.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w, err)
+	if !isa.Distance {
+		maxDist, mode = 0, ""
 	}
-	mod, err := irgen.Build(file)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w, err)
-	}
-	ir.OptimizeModule(mod)
-	return mod, nil
-}
-
-// BuildRISCV compiles a workload for the SS core. Images are cached by
-// (workload, iters): each distinct key is built exactly once, even under
-// concurrent callers, and the returned image is shared read-only.
-func BuildRISCV(w workloads.Workload, iters int) (*program.Image, error) {
-	return buildOnce(buildKey{w: w, iters: iters, target: "riscv"}, func() (*program.Image, error) {
-		mod, err := module(w, iters)
-		if err != nil {
-			return nil, err
-		}
-		asm, err := riscvbe.Compile(mod)
-		if err != nil {
-			return nil, err
-		}
-		return rasm.Assemble(asm)
-	})
-}
-
-// BuildSTRAIGHT compiles a workload for the STRAIGHT core. Images are
-// cached by (workload, iters, maxDist, mode) with the same
-// exactly-once, shared-read-only contract as BuildRISCV.
-func BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
-	key := buildKey{w: w, iters: iters, target: "straight", maxDist: maxDist, mode: mode}
+	key := buildKey{w: w, iters: iters, isa: isa.Name, maxDist: maxDist, mode: mode}
 	return buildOnce(key, func() (*program.Image, error) {
-		mod, err := module(w, iters)
+		src, err := workloads.Source(w, iters)
 		if err != nil {
 			return nil, err
 		}
-		asm, err := straightbe.Compile(mod, straightbe.Options{
-			MaxDistance:    maxDist,
-			RedundancyElim: mode == ModeREP,
-		})
+		prog, err := core.NewToolchain().CompileC(src, isa.Target,
+			core.CompileOptions{MaxDistance: maxDist, RedundancyElim: mode == ModeREP})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", w, err)
 		}
-		im, err := sasm.Assemble(asm)
-		if err != nil {
-			return nil, err
-		}
-		// Verification runs inside the singleflight closure, so each
-		// distinct build key is proven hazard-consistent exactly once no
-		// matter how many sweep points share the image.
-		if err := sverify.Check(im, sverify.Config{MaxDistance: maxDist}); err != nil {
-			return nil, fmt.Errorf("%s d=%d %s: %w", w, maxDist, mode, err)
-		}
-		return im, nil
+		return prog.Image, nil
 	})
+}
+
+// BuildRISCV compiles a workload for the rename-based cores (see Build).
+func BuildRISCV(w workloads.Workload, iters int) (*program.Image, error) {
+	return Build(CoreEmuRISCV, w, iters, 0, "")
+}
+
+// BuildSTRAIGHT compiles a workload for the STRAIGHT core (see Build).
+func BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
+	return Build(CoreEmuStraight, w, iters, maxDist, mode)
 }
 
 const simCycleCap = 2_000_000_000
 
-// RunSS simulates an image on the superscalar core.
-func RunSS(cfg uarch.Config, im *program.Image) (*sscore.Result, error) {
-	return RunSSTraced(cfg, im, nil)
-}
-
-// RunSSTraced simulates an image on the superscalar core with an
+// RunCore simulates an image on the cycle-level engine kind k with an
 // optional pipeline tracer attached, and checks the resulting counters
 // for internal consistency.
-func RunSSTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*sscore.Result, error) {
-	opts := sscore.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
-	res, err := sscore.New(cfg, im, opts).Run(opts)
+func RunCore(k CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*engine.Result, error) {
+	_, m, err := k.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if m == nil {
+		return nil, fmt.Errorf("core kind %q is not a cycle-level core", k)
+	}
+	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
+	res, err := m.New(cfg, im, opts).Run(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -190,66 +153,6 @@ func RunSSTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*sscor
 		return nil, err
 	}
 	return res, nil
-}
-
-// RunCG simulates an image on the coarse-grain OoO comparison core
-// (the same RISC-V image the SS core runs).
-func RunCG(cfg uarch.Config, im *program.Image) (*cgcore.Result, error) {
-	return RunCGTraced(cfg, im, nil)
-}
-
-// RunCGTraced simulates an image on the coarse-grain OoO core with an
-// optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency.
-func RunCGTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*cgcore.Result, error) {
-	opts := cgcore.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
-	res, err := cgcore.New(cfg, im, opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Stats.Check(cfg); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunStraight simulates an image on the STRAIGHT core.
-func RunStraight(cfg uarch.Config, im *program.Image) (*straightcore.Result, error) {
-	return RunStraightTraced(cfg, im, nil)
-}
-
-// RunStraightTraced simulates an image on the STRAIGHT core with an
-// optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency.
-func RunStraightTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*straightcore.Result, error) {
-	opts := straightcore.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
-	res, err := straightcore.New(cfg, im, opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Stats.Check(cfg); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// EmulateStraight runs the functional STRAIGHT emulator (for the
-// instruction-mix and distance experiments).
-func EmulateStraight(im *program.Image) (*straightemu.Machine, error) {
-	m := straightemu.New(im)
-	if _, err := m.Run(4_000_000_000); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// EmulateRISCV runs the functional RV32IM emulator.
-func EmulateRISCV(im *program.Image) (*riscvemu.Machine, error) {
-	m := riscvemu.New(im)
-	if _, err := m.Run(4_000_000_000); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 func iters(s Scale, w workloads.Workload) int {

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"straight/internal/cores/cgcore"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/core"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/ptrace"
@@ -37,10 +37,33 @@ const (
 	CoreEmuStraight CoreKind = "emu-straight"
 )
 
+// resolve looks the kind up in the machine table (internal/core): a
+// cycle-level kind is a machine's policy name, a functional kind is
+// "emu-" plus an ISA name. m is nil for the functional kinds.
+func (k CoreKind) resolve() (isa *core.ISA, m *core.Machine, err error) {
+	if m, err := core.LookupMachine(string(k)); err == nil {
+		return m.ISA(), m, nil
+	}
+	if name, ok := strings.CutPrefix(string(k), "emu-"); ok {
+		if isa, err := core.LookupISA(name); err == nil {
+			return isa, nil, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("unknown core kind %q", k)
+}
+
 // Cycle reports whether the kind is a cycle-level core (carries a
 // uarch.Config and produces uarch.Stats).
 func (k CoreKind) Cycle() bool {
-	return k == CoreSS || k == CoreStraight || k == CoreCG
+	_, m, _ := k.resolve()
+	return m != nil
+}
+
+// distance reports whether the kind runs a distance-operand ISA, whose
+// builds are selected by a point's Mode and MaxDist.
+func (k CoreKind) distance() bool {
+	isa, _, err := k.resolve()
+	return err == nil && isa.Distance
 }
 
 // SweepPoint is one independent (workload, engine, configuration)
@@ -252,21 +275,31 @@ func StorePutErrors() int64 { return storePutErrors.Load() }
 func simulatePoint(p SweepPoint, tgt *TraceTarget) (PointResult, error) {
 	start := time.Now()
 	res := PointResult{Point: p}
-	switch p.Core {
-	case CoreSS:
-		im, err := BuildRISCV(p.Workload, p.Iters)
+	isa, m, err := p.Core.resolve()
+	if err != nil {
+		return res, err
+	}
+	im, err := Build(p.Core, p.Workload, p.Iters, p.MaxDist, p.Mode)
+	if err != nil {
+		return res, err
+	}
+	if m == nil {
+		r, err := core.Emulate(&core.Program{Target: isa.Target, Image: im}, nil)
 		if err != nil {
 			return res, err
 		}
-		var r *sscore.Result
+		res.EmuRISCV, res.EmuStraight = r.RISCVStats, r.StraightStats
+		res.Retired = r.Insns
+	} else {
+		var r *engine.Result
+		run := func(tr *ptrace.Tracer) (err error) {
+			r, err = RunCore(p.Core, p.Config, im, tr)
+			return err
+		}
 		if tgt != nil {
-			res.Trace, err = withTracer(tgt, func(tr *ptrace.Tracer) error {
-				var rerr error
-				r, rerr = RunSSTraced(p.Config, im, tr)
-				return rerr
-			})
+			res.Trace, err = withTracer(tgt, run)
 		} else {
-			r, err = RunSS(p.Config, im)
+			err = run(nil)
 		}
 		if err != nil {
 			return res, err
@@ -276,76 +309,6 @@ func simulatePoint(p SweepPoint, tgt *TraceTarget) (PointResult, error) {
 		res.Retired = r.Stats.Retired
 		res.IPC = r.Stats.IPC()
 		res.Output = r.Output
-	case CoreStraight:
-		im, err := BuildSTRAIGHT(p.Workload, p.Iters, p.MaxDist, p.Mode)
-		if err != nil {
-			return res, err
-		}
-		var r *straightcore.Result
-		if tgt != nil {
-			res.Trace, err = withTracer(tgt, func(tr *ptrace.Tracer) error {
-				var rerr error
-				r, rerr = RunStraightTraced(p.Config, im, tr)
-				return rerr
-			})
-		} else {
-			r, err = RunStraight(p.Config, im)
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Stats = &r.Stats
-		res.Cycles = r.Stats.Cycles
-		res.Retired = r.Stats.Retired
-		res.IPC = r.Stats.IPC()
-		res.Output = r.Output
-	case CoreCG:
-		im, err := BuildRISCV(p.Workload, p.Iters)
-		if err != nil {
-			return res, err
-		}
-		var r *cgcore.Result
-		if tgt != nil {
-			res.Trace, err = withTracer(tgt, func(tr *ptrace.Tracer) error {
-				var rerr error
-				r, rerr = RunCGTraced(p.Config, im, tr)
-				return rerr
-			})
-		} else {
-			r, err = RunCG(p.Config, im)
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Stats = &r.Stats
-		res.Cycles = r.Stats.Cycles
-		res.Retired = r.Stats.Retired
-		res.IPC = r.Stats.IPC()
-		res.Output = r.Output
-	case CoreEmuRISCV:
-		im, err := BuildRISCV(p.Workload, p.Iters)
-		if err != nil {
-			return res, err
-		}
-		m, err := EmulateRISCV(im)
-		if err != nil {
-			return res, err
-		}
-		res.EmuRISCV = m.Stats()
-		res.Retired = m.InstCount()
-	case CoreEmuStraight:
-		im, err := BuildSTRAIGHT(p.Workload, p.Iters, p.MaxDist, p.Mode)
-		if err != nil {
-			return res, err
-		}
-		m, err := EmulateStraight(im)
-		if err != nil {
-			return res, err
-		}
-		res.EmuStraight = m.Stats()
-		res.Retired = m.InstCount()
-	default:
-		return res, fmt.Errorf("unknown core kind %q", p.Core)
 	}
 	res.Wall = time.Since(start)
 	return res, nil
@@ -459,7 +422,7 @@ func recordResults(results []PointResult) {
 			WallSeconds: r.Wall.Seconds(),
 			Trace:       r.Trace,
 		}
-		if p.Core == CoreStraight || p.Core == CoreEmuStraight {
+		if p.Core.distance() {
 			rec.Mode = string(p.Mode)
 			rec.MaxDistance = p.MaxDist
 		}

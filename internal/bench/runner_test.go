@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"straight/internal/core"
 	"straight/internal/program"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -182,25 +183,25 @@ func TestSharedImagesNotMutated(t *testing.T) {
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
-			if _, err := RunSS(uarch.SS2Way(), ssIm); err != nil {
+			if _, err := RunCore(CoreSS, uarch.SS2Way(), ssIm, nil); err != nil {
 				fail <- err
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := RunStraight(uarch.Straight2Way(), stIm); err != nil {
+			if _, err := RunCore(CoreStraight, uarch.Straight2Way(), stIm, nil); err != nil {
 				fail <- err
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := EmulateRISCV(ssIm); err != nil {
+			if _, err := core.Emulate(&core.Program{Target: core.TargetRISCV, Image: ssIm}, nil); err != nil {
 				fail <- err
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := EmulateStraight(stIm); err != nil {
+			if _, err := core.Emulate(&core.Program{Target: core.TargetStraight, Image: stIm}, nil); err != nil {
 				fail <- err
 			}
 		}()

@@ -6,9 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"straight/internal/program"
+	"straight/internal/core"
 	"straight/internal/sampling"
-	"straight/internal/uarch"
 	"straight/internal/workloads"
 )
 
@@ -34,61 +33,31 @@ type SampledRow struct {
 	Speedup  float64
 }
 
-// SampledVsFull runs DhrystoneLong on the three 4-wide kernels in full
+// SampledVsFull runs DhrystoneLong on every machine's 4-wide kernel in full
 // detail and under the default interval plan, reporting estimator
 // accuracy and the effective-simulation-speed win. The sampled runs
 // share the bench result store when one is set (SetStore), so a warm
 // re-run only pays fast-forward; the full runs are always simulated —
 // they are the ground truth being timed.
 func SampledVsFull(s Scale) ([]SampledRow, error) {
-	cells := []struct {
-		name, policy string
-		cfg          uarch.Config
-	}{
-		{"straight-4way", "straight", uarch.Straight4Way()},
-		{"ss-4way", "ss", uarch.SS4Way()},
-		{"cg-4way", "cg", uarch.CG4Way()},
-	}
 	var rows []SampledRow
-	for _, c := range cells {
-		var (
-			img *program.Image
-			err error
-		)
-		if c.policy == "straight" {
-			img, err = BuildSTRAIGHT(workloads.DhrystoneLong, s.DhrystoneIters, c.cfg.MaxDistance, ModeREP)
-		} else {
-			img, err = BuildRISCV(workloads.DhrystoneLong, s.DhrystoneIters)
-		}
+	for _, m := range core.Machines() {
+		cfg := m.FourWay()
+		kind := CoreKind(m.Policy)
+		img, err := Build(kind, workloads.DhrystoneLong, s.DhrystoneIters, cfg.MaxDistance, ModeREP)
 		if err != nil {
 			return nil, err
 		}
 
 		start := time.Now()
-		var full uarch.Stats
-		switch c.policy {
-		case "straight":
-			res, err := RunStraight(c.cfg, img)
-			if err != nil {
-				return nil, err
-			}
-			full = res.Stats
-		case "ss":
-			res, err := RunSS(c.cfg, img)
-			if err != nil {
-				return nil, err
-			}
-			full = res.Stats
-		default:
-			res, err := RunCG(c.cfg, img)
-			if err != nil {
-				return nil, err
-			}
-			full = res.Stats
+		res, err := RunCore(kind, cfg, img, nil)
+		if err != nil {
+			return nil, err
 		}
+		full := res.Stats
 		fullWall := time.Since(start).Seconds()
 
-		tgt, err := sampling.NewTarget(c.policy, c.cfg, img)
+		tgt, err := sampling.NewTarget(m.Policy, cfg, img)
 		if err != nil {
 			return nil, err
 		}
@@ -100,8 +69,8 @@ func SampledVsFull(s Scale) ([]SampledRow, error) {
 
 		fullIPC := full.IPC()
 		row := SampledRow{
-			Kernel:     c.name,
-			Policy:     c.policy,
+			Kernel:     m.Policy + "-4way",
+			Policy:     m.Policy,
 			TotalInsts: rep.TotalInsts,
 			Windows:    len(rep.Windows),
 			FullIPC:    fullIPC,

@@ -106,7 +106,7 @@ func PointKey(p SweepPoint) (resultstore.Key, error) {
 	kh.String("core", string(p.Core))
 	kh.String("workload", string(p.Workload))
 	kh.Bytes("source", []byte(src))
-	if p.Core == CoreStraight || p.Core == CoreEmuStraight {
+	if p.Core.distance() {
 		kh.String("mode", string(p.Mode))
 		kh.Int("maxdist", int64(p.MaxDist))
 	}

@@ -274,17 +274,17 @@ func TestInterruptAbortsRunningCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	Interrupt()
-	if _, err := RunSS(uarch.SS2Way(), ssIm); !errors.Is(err, uarch.ErrInterrupted) {
-		t.Fatalf("RunSS under interrupt: err = %v, want ErrInterrupted", err)
+	if _, err := RunCore(CoreSS, uarch.SS2Way(), ssIm, nil); !errors.Is(err, uarch.ErrInterrupted) {
+		t.Fatalf("RunCore(ss) under interrupt: err = %v, want ErrInterrupted", err)
 	}
 	cfg := uarch.Straight2Way()
 	cfg.MaxDistance = 31
-	if _, err := RunStraight(cfg, stIm); !errors.Is(err, uarch.ErrInterrupted) {
-		t.Fatalf("RunStraight under interrupt: err = %v, want ErrInterrupted", err)
+	if _, err := RunCore(CoreStraight, cfg, stIm, nil); !errors.Is(err, uarch.ErrInterrupted) {
+		t.Fatalf("RunCore(straight) under interrupt: err = %v, want ErrInterrupted", err)
 	}
 	ClearInterrupt()
-	if _, err := RunSS(uarch.SS2Way(), ssIm); err != nil {
-		t.Fatalf("RunSS after ClearInterrupt: %v", err)
+	if _, err := RunCore(CoreSS, uarch.SS2Way(), ssIm, nil); err != nil {
+		t.Fatalf("RunCore(ss) after ClearInterrupt: %v", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func BenchmarkSimTracedVsUntraced(b *testing.B) {
 
 	b.Run("Untraced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RunStraight(cfg, im); err != nil {
+			if _, err := RunCore(CoreStraight, cfg, im, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -33,7 +33,7 @@ func BenchmarkSimTracedVsUntraced(b *testing.B) {
 	b.Run("Traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := ptrace.New(io.Discard, ptrace.Config{})
-			if _, err := RunStraightTraced(cfg, im, tr); err != nil {
+			if _, err := RunCore(CoreStraight, cfg, im, tr); err != nil {
 				b.Fatal(err)
 			}
 			if err := tr.Close(); err != nil {

@@ -13,21 +13,15 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
-	"straight/internal/backend/riscvbe"
-	"straight/internal/backend/straightbe"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/ir"
 	"straight/internal/irgen"
 	"straight/internal/minic"
 	"straight/internal/program"
-	"straight/internal/rasm"
-	"straight/internal/sasm"
 	"straight/internal/uarch"
 )
 
@@ -82,19 +76,11 @@ func (tc *Toolchain) CompileC(src string, target Target, opts CompileOptions) (*
 
 // CompileIR lowers an already-built IR module.
 func (tc *Toolchain) CompileIR(mod *ir.Module, target Target, opts CompileOptions) (*Program, error) {
-	var asm string
-	var err error
-	switch target {
-	case TargetStraight:
-		asm, err = straightbe.Compile(mod, straightbe.Options{
-			MaxDistance:    opts.MaxDistance,
-			RedundancyElim: opts.RedundancyElim,
-		})
-	case TargetRISCV:
-		asm, err = riscvbe.Compile(mod)
-	default:
-		return nil, fmt.Errorf("core: unknown target %d", target)
+	isa, err := target.ISA()
+	if err != nil {
+		return nil, err
 	}
+	asm, err := isa.compile(mod, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -106,16 +92,11 @@ func (tc *Toolchain) CompileIR(mod *ir.Module, target Target, opts CompileOption
 
 // Assemble assembles target assembly text into a program.
 func (tc *Toolchain) Assemble(asm string, target Target) (*Program, error) {
-	var im *program.Image
-	var err error
-	switch target {
-	case TargetStraight:
-		im, err = sasm.Assemble(asm)
-	case TargetRISCV:
-		im, err = rasm.Assemble(asm)
-	default:
-		return nil, fmt.Errorf("core: unknown target %d", target)
+	isa, err := target.ISA()
+	if err != nil {
+		return nil, err
 	}
+	im, err := isa.assemble(asm)
 	if err != nil {
 		return nil, err
 	}
@@ -138,29 +119,21 @@ type EmulateResult struct {
 // streams to w when non-nil.
 func Emulate(p *Program, w io.Writer) (*EmulateResult, error) {
 	const maxInsns = 4_000_000_000
-	switch p.Target {
-	case TargetStraight:
-		m := straightemu.New(p.Image)
-		buf := &teeWriter{w: w}
-		m.SetOutput(buf)
-		n, err := m.Run(maxInsns)
-		if err != nil {
-			return nil, err
-		}
-		_, code := m.Exited()
-		return &EmulateResult{Output: string(buf.buf), ExitCode: code, Insns: n, StraightStats: m.Stats()}, nil
-	case TargetRISCV:
-		m := riscvemu.New(p.Image)
-		buf := &teeWriter{w: w}
-		m.SetOutput(buf)
-		n, err := m.Run(maxInsns)
-		if err != nil {
-			return nil, err
-		}
-		_, code := m.Exited()
-		return &EmulateResult{Output: string(buf.buf), ExitCode: code, Insns: n, RISCVStats: m.Stats()}, nil
+	isa, err := p.Target.ISA()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown target %d", p.Target)
+	m, stats := isa.emulate(p.Image)
+	buf := &teeWriter{w: w}
+	m.SetOutput(buf)
+	n, err := m.Run(maxInsns)
+	if err != nil {
+		return nil, err
+	}
+	_, code := m.Exited()
+	res := &EmulateResult{Output: string(buf.buf), ExitCode: code, Insns: n}
+	stats(res)
+	return res, nil
 }
 
 type teeWriter struct {
@@ -193,36 +166,30 @@ type SimOptions struct {
 	Output io.Writer
 }
 
-// Simulate runs a program on the cycle-accurate core matching its target
-// (SS for RISC-V, the renaming-free core for STRAIGHT).
+// Simulate runs a program on its ISA's reference machine (the SS core
+// for RISC-V, the renaming-free core for STRAIGHT).
 func Simulate(p *Program, cfg uarch.Config, opts ...SimOptions) (*SimResult, error) {
 	var o SimOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	switch p.Target {
-	case TargetStraight:
-		ropts := straightcore.Options{CrossValidate: o.CrossValidate, MaxCycles: o.MaxCycles, Output: o.Output}
-		res, err := straightcore.New(cfg, p.Image, ropts).Run(ropts)
-		if err != nil {
-			return nil, err
-		}
-		return &SimResult{Output: res.Output, ExitCode: res.ExitCode, Stats: res.Stats}, nil
-	case TargetRISCV:
-		ropts := sscore.Options{CrossValidate: o.CrossValidate, MaxCycles: o.MaxCycles, Output: o.Output}
-		res, err := sscore.New(cfg, p.Image, ropts).Run(ropts)
-		if err != nil {
-			return nil, err
-		}
-		return &SimResult{Output: res.Output, ExitCode: res.ExitCode, Stats: res.Stats}, nil
+	m, err := p.Target.Machine()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown target %d", p.Target)
+	ropts := engine.Options{CrossValidate: o.CrossValidate, MaxCycles: o.MaxCycles, Output: o.Output}
+	res, err := m.New(cfg, p.Image, ropts).Run(ropts)
+	if err != nil {
+		return nil, err
+	}
+	return &SimResult{Output: res.Output, ExitCode: res.ExitCode, Stats: res.Stats}, nil
 }
 
 // Disassemble returns a listing of the program's text segment.
 func Disassemble(p *Program) string {
-	if p.Target == TargetStraight {
-		return sasm.Disassemble(p.Image)
+	isa, err := p.Target.ISA()
+	if err != nil {
+		return ""
 	}
-	return rasm.Disassemble(p.Image)
+	return isa.disassemble(p.Image)
 }

@@ -11,6 +11,7 @@ import (
 
 	"straight/internal/backend/riscvbe"
 	"straight/internal/backend/straightbe"
+	"straight/internal/cores/engine"
 	"straight/internal/cores/sscore"
 	"straight/internal/cores/straightcore"
 	"straight/internal/emu/straightemu"
@@ -71,9 +72,9 @@ func buildSTRAIGHT(t testing.TB, mod *ir.Module, opts straightbe.Options) *progr
 	return im
 }
 
-func runSS(t testing.TB, cfg uarch.Config, im *program.Image) *sscore.Result {
+func runSS(t testing.TB, cfg uarch.Config, im *program.Image) *engine.Result {
 	t.Helper()
-	opts := sscore.Options{CrossValidate: true, MaxCycles: 200_000_000}
+	opts := engine.Options{CrossValidate: true, MaxCycles: 200_000_000}
 	core := sscore.New(cfg, im, opts)
 	res, err := core.Run(opts)
 	if err != nil {
@@ -85,9 +86,9 @@ func runSS(t testing.TB, cfg uarch.Config, im *program.Image) *sscore.Result {
 	return res
 }
 
-func runStraight(t testing.TB, cfg uarch.Config, im *program.Image) *straightcore.Result {
+func runStraight(t testing.TB, cfg uarch.Config, im *program.Image) *engine.Result {
 	t.Helper()
-	opts := straightcore.Options{CrossValidate: true, MaxCycles: 200_000_000}
+	opts := engine.Options{CrossValidate: true, MaxCycles: 200_000_000}
 	core := straightcore.New(cfg, im, opts)
 	res, err := core.Run(opts)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"straight/internal/backend/straightbe"
+	"straight/internal/cores/engine"
 	"straight/internal/cores/sscore"
 	"straight/internal/cores/straightcore"
 	"straight/internal/emu/riscvemu"
@@ -39,7 +40,7 @@ func TestSquashRecoveryRetirementStream(t *testing.T) {
 
 		cfg := uarch.Straight4Way()
 		var got []uarch.Retirement
-		opts := straightcore.Options{
+		opts := engine.Options{
 			MaxCycles: 200_000_000,
 			RetireFn: func(r uarch.Retirement) error {
 				got = append(got, r)
@@ -75,7 +76,7 @@ func TestSquashRecoveryRetirementStream(t *testing.T) {
 
 		cfg := uarch.SS4Way()
 		var got []uarch.Retirement
-		opts := sscore.Options{
+		opts := engine.Options{
 			MaxCycles: 200_000_000,
 			RetireFn: func(r uarch.Retirement) error {
 				got = append(got, r)
@@ -125,7 +126,7 @@ func TestSquashRecoveryDeterministic(t *testing.T) {
 	mod := buildIR(t, workloads.MicroBranch, 1)
 	im := buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: 31, RedundancyElim: true})
 	run := func() (int64, uint64, string) {
-		opts := straightcore.Options{MaxCycles: 200_000_000}
+		opts := engine.Options{MaxCycles: 200_000_000}
 		core := straightcore.New(uarch.Straight4Way(), im, opts)
 		res, err := core.Run(opts)
 		if err != nil {

@@ -27,7 +27,7 @@ type skipRun struct {
 
 func runStraightSkip(t *testing.T, cfg uarch.Config, im *program.Image, noskip bool) skipRun {
 	t.Helper()
-	opts := straightcore.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
+	opts := engine.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
 	core := straightcore.New(cfg, im, opts)
 	res, err := core.Run(opts)
 	if err != nil {
@@ -38,7 +38,7 @@ func runStraightSkip(t *testing.T, cfg uarch.Config, im *program.Image, noskip b
 
 func runSSSkip(t *testing.T, cfg uarch.Config, im *program.Image, noskip bool) skipRun {
 	t.Helper()
-	opts := sscore.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
+	opts := engine.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
 	core := sscore.New(cfg, im, opts)
 	res, err := core.Run(opts)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestIdleSkipErrorIdentical(t *testing.T) {
 	im := buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: 31, RedundancyElim: true})
 	cfg := uarch.Straight4WayMemBound()
 	run := func(noskip bool) string {
-		opts := straightcore.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
+		opts := engine.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
 		_, err := straightcore.New(cfg, im, opts).Run(opts)
 		if err == nil {
 			t.Fatal("micro-stream on the memory-bound model should trip the deadlock detector")

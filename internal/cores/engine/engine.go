@@ -89,6 +89,32 @@ type Result struct {
 	Output   string
 }
 
+// Sim is the non-generic face of a Core: everything callers outside
+// the engine drive, whichever instruction type the core runs. Each
+// policy package's New returns one, so a caller never names the ISA.
+type Sim interface {
+	// Run simulates until program exit or a bound is hit.
+	Run(opts Options) (*Result, error)
+	// RunCycles advances by at most n cycles (see Core.RunCycles).
+	RunCycles(opts Options, n int64) error
+	// Reset returns the core to power-on state for batch reuse.
+	Reset(img *program.Image)
+	// Restart resets the core and seeds it from a mid-program
+	// architectural checkpoint (DESIGN.md §16).
+	Restart(img *program.Image, ck ArchState) error
+	// AdoptWarm copies functionally-warmed cache/predictor state into
+	// the core after a Restart.
+	AdoptWarm(w *uarch.WarmState)
+	// HasExited reports whether the simulated program has exited.
+	HasExited() bool
+	// Stats returns a copy of the counters accumulated so far.
+	Stats() uarch.Stats
+	// Mem exposes the simulated memory (for post-run equivalence checks).
+	Mem() *program.Memory
+	// SkipStats returns the idle-skip telemetry accumulated so far.
+	SkipStats() uarch.SkipStats
+}
+
 // FEEntry is a decoded instruction in the fetch-to-dispatch pipe.
 type FEEntry[I Inst] struct {
 	PC        uint32

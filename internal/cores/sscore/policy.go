@@ -12,6 +12,14 @@ import (
 	"straight/internal/uarch"
 )
 
+// New builds the superscalar baseline for the image: the shared engine
+// steered by the RMT/free-list rename policy with tail-first ROB-walk
+// recovery (paper §V-A). The InjectBug value it understands is
+// engine.BugFreeListEarlyReclaim.
+func New(cfg uarch.Config, img *program.Image, opts engine.Options) engine.Sim {
+	return engine.New[riscv.Inst](&Policy{}, cfg, img, opts)
+}
+
 // Policy steers the shared engine with conventional superscalar
 // semantics: RMT/free-list register renaming at dispatch and tail-first
 // ROB-walk recovery at the front-end width (paper §V-A). It is exported

@@ -12,6 +12,20 @@ import (
 	"straight/internal/uarch"
 )
 
+// BugMulReadyEarly is the InjectBug value for the documented scoreboard
+// defect: multiply results are marked ready one cycle after issue while
+// the functional unit still needs its full latency, so consumers can
+// read a stale physical register.
+const BugMulReadyEarly = "mul-ready-early"
+
+// New builds the STRAIGHT core for the image: the shared engine steered
+// by the distance-addressing policy (operand determination per paper
+// Fig 3, single-ROB-entry recovery per §III-B). The InjectBug value it
+// understands is BugMulReadyEarly.
+func New(cfg uarch.Config, img *program.Image, opts engine.Options) engine.Sim {
+	return engine.New[straight.Inst](&policy{}, cfg, img, opts)
+}
+
 // policy steers the shared engine with STRAIGHT semantics: operand
 // determination by distance arithmetic (dest = RP, src = RP − distance
 // mod MAX_RP; no table is read or written), in-order SP tracking at

@@ -7,8 +7,8 @@ import (
 	"io"
 	"strings"
 
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/core"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/program"
@@ -216,14 +216,15 @@ func lockstepStraight(p *Prog, simg *program.Image, opts CheckOptions,
 	ref.SetStrict(p.Cfg.MaxDistance)
 	ref.SetOutput(io.Discard)
 
-	cfg := uarch.Straight4Way()
+	m := referenceMachine(core.TargetStraight)
+	cfg := m.FourWay()
 	cfg.MaxDistance = p.Cfg.MaxDistance
 
 	var cp *straightemu.Checkpoint
 	var cpSeq uint64
 	var outBuf bytes.Buffer
-	core := straightcore.New(cfg, simg, straightcore.Options{Output: &outBuf, Tracer: opts.Tracer})
-	res, err := core.Run(straightcore.Options{
+	sim := m.New(cfg, simg, engine.Options{Output: &outBuf, Tracer: opts.Tracer})
+	res, err := sim.Run(engine.Options{
 		MaxCycles:  opts.MaxCycles,
 		Output:     &outBuf,
 		InjectBug:  opts.InjectBug,
@@ -264,7 +265,7 @@ func lockstepStraight(p *Prog, simg *program.Image, opts CheckOptions,
 		return &Divergence{Stage: "straight-core-error", Detail: err.Error()}
 	}
 	return compareObservables("straight-core", p,
-		res.Output, res.ExitCode, core.Mem(), simg,
+		res.Output, res.ExitCode, sim.Mem(), simg,
 		wantOut, wantCode, wantMem, simg)
 }
 
@@ -279,11 +280,12 @@ func lockstepSS(p *Prog, rimg *program.Image, opts CheckOptions,
 	ref := riscvemu.New(rimg)
 	ref.SetOutput(io.Discard)
 
-	cfg := uarch.SS4Way()
+	m := referenceMachine(core.TargetRISCV)
+	cfg := m.FourWay()
 
 	var outBuf bytes.Buffer
-	core := sscore.New(cfg, rimg, sscore.Options{Output: &outBuf})
-	res, err := core.Run(sscore.Options{
+	sim := m.New(cfg, rimg, engine.Options{Output: &outBuf})
+	res, err := sim.Run(engine.Options{
 		MaxCycles:  opts.MaxCycles,
 		Output:     &outBuf,
 		InjectBug:  opts.InjectBug,
@@ -317,8 +319,19 @@ func lockstepSS(p *Prog, rimg *program.Image, opts CheckOptions,
 		return &Divergence{Stage: "ss-core-error", Detail: err.Error()}
 	}
 	return compareObservables("ss-core", p,
-		res.Output, res.ExitCode, core.Mem(), rimg,
+		res.Output, res.ExitCode, sim.Mem(), rimg,
 		wantOut, wantCode, wantMem, rimg)
+}
+
+// referenceMachine returns the ISA's reference core from the machine
+// table (internal/core); the table is static, so a miss is a
+// programming error.
+func referenceMachine(t core.Target) *core.Machine {
+	m, err := t.Machine()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // goldenWindow rewinds the reference emulator to its last checkpoint and

@@ -35,7 +35,7 @@ func runAllocBudget(t *testing.T, k Kernel) {
 	if err := c.RunCycles(opts, allocWarmupCycles); err != nil {
 		t.Fatal(err)
 	}
-	if c.Exited() {
+	if c.HasExited() {
 		t.Fatalf("workload exited during warmup (%d cycles); grow BenchIters", allocWarmupCycles)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -43,7 +43,7 @@ func runAllocBudget(t *testing.T, k Kernel) {
 			t.Fatal(err)
 		}
 	})
-	if c.Exited() {
+	if c.HasExited() {
 		t.Fatalf("workload exited during measurement; grow BenchIters")
 	}
 	if allocs != 0 {

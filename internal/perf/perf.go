@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"straight/internal/bench"
-	"straight/internal/cores/cgcore"
+	"straight/internal/core"
 	"straight/internal/cores/engine"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
 	"straight/internal/program"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -87,33 +85,18 @@ func KernelByName(name string) (Kernel, error) {
 // RE+ compiler at the paper's distance bound, matching the headline
 // figures; the rename-based kernels (SS, CG) share the RISC-V build.
 func BuildImage(k Kernel, w workloads.Workload, iters int) (*program.Image, error) {
-	if k.Kind == KindStraight {
-		return bench.BuildSTRAIGHT(w, iters, k.Cfg.MaxDistance, bench.ModeREP)
-	}
-	return bench.BuildRISCV(w, iters)
+	return bench.Build(bench.CoreKind(k.Kind), w, iters, k.Cfg.MaxDistance, bench.ModeREP)
 }
 
-// Core is the interface every cycle core's thin wrapper satisfies (they
-// all front the same engine); perf drives whichever kind the kernel
-// names through it.
-type Core interface {
-	Run(opts engine.Options) (*engine.Result, error)
-	RunCycles(opts engine.Options, n int64) error
-	Reset(img *program.Image)
-	Exited() bool
-	Stats() uarch.Stats
-}
-
-// NewCore constructs the kernel's core over the image.
-func NewCore(k Kernel, im *program.Image, opts engine.Options) Core {
-	switch k.Kind {
-	case KindStraight:
-		return straightcore.New(k.Cfg, im, opts)
-	case KindCG:
-		return cgcore.New(k.Cfg, im, opts)
-	default:
-		return sscore.New(k.Cfg, im, opts)
+// NewCore constructs the kernel's core over the image through the
+// machine table (internal/core). It panics on a kind the table does
+// not list: kernels are static, so that is a programming error.
+func NewCore(k Kernel, im *program.Image, opts engine.Options) engine.Sim {
+	m, err := core.LookupMachine(string(k.Kind))
+	if err != nil {
+		panic(err)
 	}
+	return m.New(k.Cfg, im, opts)
 }
 
 // RunResult is one measured simulation.
@@ -170,7 +153,7 @@ func RunWith(k Kernel, im *program.Image, o Options) (RunResult, error) {
 type Runner struct {
 	k    Kernel
 	o    Options
-	core Core
+	core engine.Sim
 	runs int
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"straight/internal/bench"
+	"straight/internal/cores/engine"
 	"straight/internal/cores/sscore"
 	"straight/internal/cores/straightcore"
 	"straight/internal/ptrace"
@@ -85,7 +86,7 @@ func TestGoldenStraightTrace(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tr := ptrace.New(&buf, ptrace.Config{})
-	opts := straightcore.Options{MaxCycles: 100_000, Tracer: tr, CrossValidate: true}
+	opts := engine.Options{MaxCycles: 100_000, Tracer: tr, CrossValidate: true}
 	if _, err := straightcore.New(uarch.Straight4Way(), im, opts).Run(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestGoldenSSTrace(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tr := ptrace.New(&buf, ptrace.Config{})
-	opts := sscore.Options{MaxCycles: 100_000, Tracer: tr, CrossValidate: true}
+	opts := engine.Options{MaxCycles: 100_000, Tracer: tr, CrossValidate: true}
 	if _, err := sscore.New(uarch.SS4Way(), im, opts).Run(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestStallReconciliation(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		tr := ptrace.New(&buf, ptrace.Config{Window: 500})
-		res, err := bench.RunStraightTraced(uarch.Straight4Way(), im, tr)
+		res, err := bench.RunCore(bench.CoreStraight, uarch.Straight4Way(), im, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestStallReconciliation(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		tr := ptrace.New(&buf, ptrace.Config{Window: 500})
-		res, err := bench.RunSSTraced(uarch.SS4Way(), im, tr)
+		res, err := bench.RunCore(bench.CoreSS, uarch.SS4Way(), im, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,13 +216,13 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := bench.RunStraight(uarch.Straight4Way(), im)
+	plain, err := bench.RunCore(bench.CoreStraight, uarch.Straight4Way(), im, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	tr := ptrace.New(&buf, ptrace.Config{})
-	traced, err := bench.RunStraightTraced(uarch.Straight4Way(), im, tr)
+	traced, err := bench.RunCore(bench.CoreStraight, uarch.Straight4Way(), im, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

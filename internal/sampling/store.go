@@ -55,16 +55,6 @@ func windowKey(t *Target, plan Plan, enc []byte) (resultstore.Key, error) {
 	return kh.Sum(), nil
 }
 
-// isaName maps a core policy to the ISA its fast-forward runs on: the
-// checkpoint sequence is architectural state only, so ss and cg (both
-// RV32IM) share cached fast-forwards.
-func isaName(policy string) string {
-	if policy == "straight" {
-		return "straight"
-	}
-	return "riscv"
-}
-
 // ffKey derives the content address of a fast-forward outcome. Only the
 // fields that shape the checkpoint sequence participate: the ISA, the
 // semantic image content, where checkpoints are taken (Interval/Offset)
@@ -73,7 +63,7 @@ func isaName(policy string) string {
 // they warm or measure share one cached fast-forward.
 func ffKey(t *Target, plan Plan, limit uint64) resultstore.Key {
 	kh := resultstore.NewKeyHasher(ffSchema)
-	kh.String("isa", isaName(t.Policy))
+	kh.String("isa", t.machine.ISA().Name)
 	kh.Int("entry", int64(t.Img.Entry))
 	kh.Int("text_base", int64(t.Img.TextBase))
 	text := make([]byte, 0, 4*len(t.Img.Text))
