@@ -44,6 +44,12 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open indefinitely. Request bodies are bounded by the server itself
+// (served.Server refuses oversized jobs).
+const readHeaderTimeout = 10 * time.Second
+
 func run(addr, storePath string, workers int) error {
 	store, err := resultstore.Open(storePath, resultstore.Options{Salt: perf.VersionSalt()})
 	if err != nil {
@@ -53,7 +59,7 @@ func run(addr, storePath string, workers int) error {
 	bench.SetParallelism(workers)
 
 	srv := served.NewServer(served.Config{Workers: workers})
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -29,7 +29,7 @@ done:
     ecall
 `
 
-func marshalMachine(t *testing.T, steps int) (*Machine, *Checkpoint) {
+func marshalMachine(t testing.TB, steps int) (*Machine, *Checkpoint) {
 	t.Helper()
 	im, err := rasm.Assemble(marshalSrc)
 	if err != nil {

@@ -36,7 +36,7 @@ done:
     SYS exit, [1]
 `
 
-func marshalMachine(t *testing.T, steps int) (*Machine, *Checkpoint) {
+func marshalMachine(t testing.TB, steps int) (*Machine, *Checkpoint) {
 	t.Helper()
 	im, err := sasm.Assemble(marshalSrc)
 	if err != nil {

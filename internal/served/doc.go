@@ -11,7 +11,9 @@
 //	                   newline-delimited JSON stream of PointUpdate
 //	                   records, one per finished point (in completion
 //	                   order, each flushed immediately) followed by a
-//	                   terminal {"done": true} summary record.
+//	                   terminal {"done": true} summary record. A body
+//	                   over 1 MiB is refused with 413 before any point
+//	                   runs.
 //	GET  /v1/stats   — ServerStats snapshot: job/point counters, the
 //	                   coalescing counters, result-store stats and
 //	                   per-section hit/miss/recompute counts.

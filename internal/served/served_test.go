@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -283,5 +284,85 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 10s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOversizedJobRefused: a body over maxJobBytes gets 413 and starts
+// no simulation.
+func TestOversizedJobRefused(t *testing.T) {
+	executed := 0
+	srv := NewServer(Config{Workers: 1, Exec: func(p bench.SweepPoint) (bench.PointResult, error) {
+		executed++
+		return bench.PointResult{Point: p}, nil
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A syntactically valid job whose padding pushes it past the limit.
+	body := `{"points":[{"Label":"` + strings.Repeat("x", maxJobBytes) + `","Workload":"fib","Core":"emu-riscv","Iters":1}]}`
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if st := srv.Stats(); executed != 0 || st.JobsStarted != 0 {
+		t.Errorf("oversized job ran: %d points executed, %d jobs started", executed, st.JobsStarted)
+	}
+}
+
+// batchRecorder is a bench.Remote that records the encoded size of each
+// batch it is handed and then fails it, so an experiment stops after
+// submitting its one batch without simulating anything.
+type batchRecorder struct{ sizes map[string]int }
+
+var errRecorded = errors.New("batch recorded")
+
+func (b *batchRecorder) Run(points []bench.SweepPoint) ([]bench.PointResult, error) {
+	raw, err := json.Marshal(JobRequest{Points: points})
+	if err != nil {
+		return nil, err
+	}
+	b.sizes[points[0].Section] = len(raw)
+	return nil, errRecorded
+}
+
+// TestLargestExperimentBatchFits encodes every batch cmd/experiments
+// submits at default scale (one per figure) and requires the largest
+// to stay well under maxJobBytes.
+func TestLargestExperimentBatchFits(t *testing.T) {
+	rec := &batchRecorder{sizes: map[string]int{}}
+	bench.SetRemote(rec)
+	defer bench.SetRemote(nil)
+	s := bench.ScaleDefault
+	runs := []func() error{
+		func() error { _, err := bench.PerfComparison(s, true, uarch.PredGshare); return err },
+		func() error { _, err := bench.PerfComparison(s, false, uarch.PredTAGE); return err },
+		func() error { _, err := bench.CGComparison(s, true); return err },
+		func() error { _, err := bench.CGBlockSweep(s); return err },
+		func() error { _, err := bench.MissPenalty(s); return err },
+		func() error { _, err := bench.InstructionMix(s); return err },
+		func() error { _, err := bench.DistanceCDF(s); return err },
+		func() error { _, err := bench.MaxDistSweep(s); return err },
+		func() error { _, _, err := bench.PowerAnalysis(s); return err },
+		func() error { _, err := bench.Ablations(s); return err },
+		func() error { _, err := bench.WindowScaling(s); return err },
+	}
+	for _, run := range runs {
+		if err := run(); !errors.Is(err, errRecorded) {
+			t.Fatalf("experiment did not submit a batch: %v", err)
+		}
+	}
+	largest, section := 0, ""
+	for sec, n := range rec.sizes {
+		if n > largest {
+			largest, section = n, sec
+		}
+	}
+	t.Logf("largest batch: %s, %d bytes (limit %d)", section, largest, maxJobBytes)
+	if largest == 0 || largest > maxJobBytes/16 {
+		t.Errorf("largest batch %s encodes to %d bytes, want under %d (1/16 of the limit)", section, largest, maxJobBytes/16)
 	}
 }

@@ -3,6 +3,7 @@ package served
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -146,11 +147,25 @@ func (s *Server) Shutdown() {
 	s.quitOnce.Do(func() { close(s.quit) })
 }
 
+// maxJobBytes bounds a POST /v1/run body. The largest batch
+// cmd/experiments sends at default scale encodes to about 12 KB
+// (TestLargestExperimentBatchFits), so this leaves nearly two orders of
+// magnitude of headroom while refusing a runaway client before it is
+// buffered.
+const maxJobBytes = 1 << 20
+
 // handleRun streams one PointUpdate per finished point, then a terminal
-// summary record.
+// summary record. A body over maxJobBytes is refused with 413 before any
+// point runs.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxJobBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("bad job: body exceeds %d bytes", maxJobBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad job: "+err.Error(), http.StatusBadRequest)
 		return
 	}
