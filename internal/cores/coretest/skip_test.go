@@ -139,15 +139,6 @@ func TestIdleSkipErrorIdentical(t *testing.T) {
 	}
 }
 
-// resettableCore is the batch-reuse surface every policy wrapper
-// exposes; the Reset equivalence test drives all three cores through
-// it uniformly.
-type resettableCore interface {
-	Run(opts engine.Options) (*engine.Result, error)
-	Reset(img *program.Image)
-	SkipStats() uarch.SkipStats
-}
-
 // TestResetEquivalence is the batch-reuse acceptance test referenced by
 // the Reset docs, run for every policy: a core recycled with Reset is
 // observably identical to a freshly constructed one, including when
@@ -164,7 +155,7 @@ func TestResetEquivalence(t *testing.T) {
 		name    string
 		cfg     uarch.Config
 		build   func(t testing.TB, mod *ir.Module) *program.Image
-		newCore func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore
+		newCore func(cfg uarch.Config, im *program.Image, opts engine.Options) engine.Sim
 	}{
 		{
 			name: "straight",
@@ -172,25 +163,19 @@ func TestResetEquivalence(t *testing.T) {
 			build: func(t testing.TB, mod *ir.Module) *program.Image {
 				return buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: 31, RedundancyElim: true})
 			},
-			newCore: func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore {
-				return straightcore.New(cfg, im, opts)
-			},
+			newCore: straightcore.New,
 		},
 		{
-			name:  "ss",
-			cfg:   uarch.SS4WayMemBound(),
-			build: func(t testing.TB, mod *ir.Module) *program.Image { return buildRISCV(t, mod) },
-			newCore: func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore {
-				return sscore.New(cfg, im, opts)
-			},
+			name:    "ss",
+			cfg:     uarch.SS4WayMemBound(),
+			build:   func(t testing.TB, mod *ir.Module) *program.Image { return buildRISCV(t, mod) },
+			newCore: sscore.New,
 		},
 		{
-			name:  "cg",
-			cfg:   uarch.CG4WayMemBound(),
-			build: func(t testing.TB, mod *ir.Module) *program.Image { return buildRISCV(t, mod) },
-			newCore: func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore {
-				return cgcore.New(cfg, im, opts)
-			},
+			name:    "cg",
+			cfg:     uarch.CG4WayMemBound(),
+			build:   func(t testing.TB, mod *ir.Module) *program.Image { return buildRISCV(t, mod) },
+			newCore: cgcore.New,
 		},
 	}
 	for _, e := range engines {

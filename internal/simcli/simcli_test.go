@@ -2,46 +2,54 @@ package simcli
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"straight/internal/uarch"
 )
 
 // wallLine is the sampled report's wall-clock line, the one output line
 // that differs between two runs of the same command.
 var wallLine = regexp.MustCompile(`(?m)^wall .*$`)
 
+// commands mirrors the two sim mains: the machine each runs and its
+// command-specific flags.
+var commands = map[string]struct {
+	policy string
+	extra  func(fs *flag.FlagSet) func(*uarch.Config)
+}{
+	"straight-sim": {"straight", nil},
+	"riscv-sim":    {"ss", NoPenaltyFlag},
+}
+
 // TestGolden runs the shared body in-process for each recorded command
 // line and requires the stdout, stderr and exit code recorded from the
 // standalone straight-sim and riscv-sim binaries, byte for byte (only
 // the sampled report's wall-clock line is masked).
 func TestGolden(t *testing.T) {
+	sample := []string{"-sample", "-sample-interval", "1024", "-sample-warmup", "256", "-sample-window", "1024"}
 	cases := []struct {
-		golden, name, policy string
-		nopenalty            bool
-		args                 []string
+		golden, command string
+		args            []string
 	}{
-		{"straight-validate-tage", "straight-sim", "straight", false, []string{"-validate", "-tage", "fib.sasm"}},
-		{"straight-2way", "straight-sim", "straight", false, []string{"-config", "2way", "fib.sasm"}},
-		{"riscv-2way-nopenalty", "riscv-sim", "ss", true, []string{"-config", "2way", "-nopenalty", "loop.rasm"}},
-		{"straight-sample", "straight-sim", "straight", false,
-			[]string{"-sample", "-sample-interval", "1024", "-sample-warmup", "256", "-sample-window", "1024", "fib.sasm"}},
-		{"riscv-sample", "riscv-sim", "ss", true,
-			[]string{"-sample", "-sample-interval", "1024", "-sample-warmup", "256", "-sample-window", "1024", "loop.rasm"}},
+		{"straight-validate-tage", "straight-sim", []string{"-validate", "-tage", "fib.sasm"}},
+		{"straight-2way", "straight-sim", []string{"-config", "2way", "fib.sasm"}},
+		{"riscv-2way-nopenalty", "riscv-sim", []string{"-config", "2way", "-nopenalty", "loop.rasm"}},
+		{"straight-sample", "straight-sim", append(sample, "fib.sasm")},
+		{"riscv-sample", "riscv-sim", append(sample, "loop.rasm")},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
 			args := append([]string(nil), c.args...)
 			args[len(args)-1] = filepath.Join("testdata", args[len(args)-1])
-			extra := NoPenaltyFlag
-			if !c.nopenalty {
-				extra = nil
-			}
+			cmd := commands[c.command]
 			var stdout, stderr bytes.Buffer
-			code := Main(c.name, c.policy, args, &stdout, &stderr, extra)
+			code := Main(c.command, cmd.policy, args, &stdout, &stderr, cmd.extra)
 
 			want := func(ext string) string {
 				raw, err := os.ReadFile(filepath.Join("testdata", c.golden+"."+ext))
