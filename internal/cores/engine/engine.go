@@ -115,6 +115,23 @@ type Sim interface {
 	SkipStats() uarch.SkipStats
 }
 
+// decoded is one text word's pol.Decode result; ok=false marks a word
+// that does not decode (data or padding in text).
+type decoded[I Inst] struct {
+	inst I
+	info InstInfo
+	ok   bool
+}
+
+// predecode rebuilds the decode table for c.img.
+func (c *Core[I]) predecode() {
+	c.dec = make([]decoded[I], len(c.img.Text))
+	for i, w := range c.img.Text {
+		d := &c.dec[i]
+		d.inst, d.info, d.ok = c.pol.Decode(w)
+	}
+}
+
 // FEEntry is a decoded instruction in the fetch-to-dispatch pipe.
 type FEEntry[I Inst] struct {
 	PC        uint32
@@ -304,6 +321,11 @@ type Core[I Inst] struct {
 	mdp  *uarch.MemDepPredictor
 	LSQ  *uarch.LSQ
 
+	// dec holds pol.Decode of every text word of img, so fetch indexes
+	// it instead of decoding each fetched word again. Decode is a pure
+	// function of the word, so the table depends only on the image.
+	dec []decoded[I] //lint:resetless predecoded text of img; Reset rebuilds it when the image changes
+
 	Stat  uarch.Stats
 	Cycle int64
 	seq   uint64
@@ -404,6 +426,7 @@ func New[I Inst](pol Policy[I], cfg uarch.Config, img *program.Image, opts Optio
 		c.Pred = uarch.NewGshare(cfg.GshareHistBits, cfg.GshareEntries)
 	}
 	c.mem.LoadImage(img)
+	c.predecode()
 	n := pol.RegCount(&cfg)
 	c.PRF = make([]uint32, n)
 	c.PRFReady = make([]int64, n)

@@ -36,17 +36,17 @@ func (c *Core[I]) fetch() {
 			c.FetchHalted = true // wrong path ran off the text segment
 			return
 		}
-		raw, err := c.img.FetchWord(pc)
-		if err != nil {
+		if pc%4 != 0 {
 			c.FetchHalted = true
 			return
 		}
-		inst, info, ok := c.pol.Decode(raw)
-		if !ok {
+		d := &c.dec[(pc-c.img.TextBase)/4]
+		if !d.ok {
 			// Wrong-path garbage; stop until a redirect arrives.
 			c.FetchHalted = true
 			return
 		}
+		inst, info := d.inst, d.info
 		// Build the entry in its queue slot. The slot may hold a
 		// departed entry, so every field is written.
 		e := c.feQueue.PushBackRef()

@@ -24,7 +24,10 @@ func (c *Core[I]) Reset(img *program.Image) {
 	if img == nil {
 		img = c.img
 	}
-	c.img = img
+	if img != c.img {
+		c.img = img
+		c.predecode()
+	}
 
 	// Recycle pooled resources still owned by in-flight state before
 	// clearing the structures that reference them.

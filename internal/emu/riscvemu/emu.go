@@ -209,6 +209,15 @@ func (m *Machine) fault(kind FaultKind, msg string, args ...any) error {
 	return &Fault{Kind: kind, PC: m.pc, Count: m.count, Msg: fmt.Sprintf(msg, args...)}
 }
 
+// fetchFault reports a fetch from a misaligned PC or one outside text,
+// with the image's own fetch error as the message.
+//
+//lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) fetchFault() error {
+	_, err := m.image.FetchWord(m.pc)
+	return m.fault(FaultFetch, "%v", err)
+}
+
 // Step executes one instruction. It returns io.EOF after exit.
 //
 //lint:hotpath
@@ -216,19 +225,14 @@ func (m *Machine) Step() error {
 	if m.exited {
 		return io.EOF
 	}
-	w, err := m.image.FetchWord(m.pc)
-	if err != nil {
-		return m.fault(FaultFetch, "%v", err)
+	i := (m.pc - m.image.TextBase) / program.InstructionBytes
+	if m.pc%program.InstructionBytes != 0 || uint64(i) >= uint64(len(m.dec)) {
+		return m.fetchFault()
 	}
-	var inst riscv.Inst
-	if i := (m.pc - m.image.TextBase) / program.InstructionBytes; m.dec != nil {
-		inst = m.dec[i]
-	} else {
-		inst = riscv.Decode(w)
-	}
+	inst := m.dec[i]
 	op := inst.Op
 	if op == riscv.ILLEGAL {
-		return m.fault(FaultDecode, "illegal instruction %#08x", w)
+		return m.fault(FaultDecode, "illegal instruction %#08x", m.image.Text[i])
 	}
 
 	rs1 := m.regs[inst.Rs1]

@@ -309,6 +309,15 @@ func (m *Machine) checkDistance(op straight.Op, d uint16) error {
 	return nil
 }
 
+// fetchFault reports a fetch from a misaligned PC or one outside text,
+// with the image's own fetch error as the message.
+//
+//lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) fetchFault() error {
+	_, err := m.image.FetchWord(m.pc)
+	return m.fault(FaultFetch, "%v", err)
+}
+
 // Step executes one instruction. It returns io.EOF after SYS exit.
 //
 //lint:hotpath
@@ -316,16 +325,15 @@ func (m *Machine) Step() error {
 	if m.exited {
 		return io.EOF
 	}
-	w, err := m.image.FetchWord(m.pc)
-	if err != nil {
-		return m.fault(FaultFetch, "%v", err)
+	i := (m.pc - m.image.TextBase) / program.InstructionBytes
+	if m.pc%program.InstructionBytes != 0 || uint64(i) >= uint64(len(m.dec)) {
+		return m.fetchFault()
 	}
-	var inst straight.Inst
-	if i := (m.pc - m.image.TextBase) / program.InstructionBytes; m.decOK != nil && m.decOK[i] {
-		inst = m.dec[i]
-	} else if inst, err = straight.Decode(w); err != nil {
+	if !m.decOK[i] {
+		_, err := straight.Decode(m.image.Text[i])
 		return m.fault(FaultDecode, "%v", err)
 	}
+	inst := m.dec[i]
 	if m.strictBound != 0 {
 		if err := m.strictCheck(inst); err != nil {
 			return err

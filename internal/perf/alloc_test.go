@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"straight/internal/cores/engine"
+	"straight/internal/emu/riscvemu"
+	"straight/internal/emu/straightemu"
+	"straight/internal/program"
 )
 
 // allocWarmupCycles runs the simulation deep into its main loop before
@@ -78,3 +81,53 @@ func TestSteadyStateAllocsSS(t *testing.T) { allocKernels(t, KindSS) }
 // TestSteadyStateAllocsCG is the same budget for the coarse-grain
 // policy: block gating must not allocate either.
 func TestSteadyStateAllocsCG(t *testing.T) { allocKernels(t, KindCG) }
+
+// TestRestartKeepsDecodeTable: Restart on the core's own image must
+// reuse the predecoded text table, so restarting for the next sample
+// window allocates nothing. Only an image change rebuilds the table
+// (TestResetEquivalence proves the rebuild correct); alternating two
+// images shows that a rebuild would be visible as allocations here.
+func TestRestartKeepsDecodeTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	for _, name := range []string{"straight-2way", "ss-2way", "cg-2way"} {
+		k, err := KernelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			im, err := BuildImage(k, BenchWorkload, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := *im
+			var ck engine.ArchState
+			if k.Kind == KindStraight {
+				m := straightemu.New(im)
+				if err := m.RunUntil(1000); err != nil {
+					t.Fatal(err)
+				}
+				ck = m.Checkpoint()
+			} else {
+				m := riscvemu.New(im)
+				if err := m.RunUntil(1000); err != nil {
+					t.Fatal(err)
+				}
+				ck = m.Checkpoint()
+			}
+			c := NewCore(k, im, engine.Options{})
+			restart := func(img *program.Image) {
+				if err := c.Restart(img, ck); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same := testing.AllocsPerRun(10, func() { restart(im) })
+			alt := testing.AllocsPerRun(10, func() { restart(&other); restart(im) })
+			if same != 0 || alt == 0 {
+				t.Errorf("%.1f allocations per Restart on the same image (want 0), %.1f per pair of image changes (want > 0)",
+					same, alt)
+			}
+		})
+	}
+}

@@ -100,7 +100,13 @@ type StallShare struct {
 // Timing is the wall-clock accounting of a sampled run. It is excluded
 // from Report.Fingerprint: timings differ run to run by nature.
 type Timing struct {
-	FFSeconds     float64 `json:"ff_seconds"`
+	// FFSeconds is the wall time from the start of the run until the
+	// fast-forward finished. Windows simulate while the fast-forward
+	// runs, so this span includes window work, and any time the
+	// fast-forward waited for a free worker. Zero on a fully-cached run.
+	FFSeconds float64 `json:"ff_seconds"`
+	// WindowSeconds is WallSeconds − FFSeconds: the tail of window
+	// simulation that the fast-forward did not hide.
 	WindowSeconds float64 `json:"window_seconds"`
 	WallSeconds   float64 `json:"wall_seconds"`
 	// EffectiveKIPS is total program instructions divided by total wall
@@ -147,7 +153,7 @@ type Report struct {
 }
 
 // reconstruct builds the whole-program estimate from the measured
-// windows (phase 3 of Run).
+// windows.
 func reconstruct(t *Target, plan Plan, total uint64, exitCode int32, windows []WindowResult) *Report {
 	rep := &Report{
 		Policy:     t.Policy,
@@ -236,7 +242,7 @@ func (r *Report) String() string {
 		}
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "wall %.3fs (ff %.3fs + windows %.3fs), effective %.0f KIPS, store hits %d/%d\n",
+	fmt.Fprintf(&b, "wall %.3fs (ff %.3fs + window tail %.3fs), effective %.0f KIPS, store hits %d/%d\n",
 		r.Timing.WallSeconds, r.Timing.FFSeconds, r.Timing.WindowSeconds, r.Timing.EffectiveKIPS,
 		r.Timing.StoreHits, len(r.Windows))
 	return b.String()

@@ -7,7 +7,8 @@
 // S-instruction sample window. Whole-program IPC/CPI and stall shares
 // are reconstructed from the equal-weighted window measurements with
 // per-metric confidence intervals. Windows fan out across a bounded
-// worker pool with one reusable core per worker, and each window result
+// worker pool with one reusable core per worker, starting as soon as the
+// fast-forward takes their checkpoints, and each window result
 // is content-addressed in the result store by checkpoint hash + core
 // configuration + plan, so re-sweeps only re-simulate dirty windows.
 package sampling
@@ -65,7 +66,8 @@ type Plan struct {
 // detailed warmup depth — not functional warming — is what decays the
 // restart bias on the 4-wide configs (DESIGN.md §16.4); 128k holds the
 // sampled-vs-full IPC gap to a few percent on every kernel, at a cold
-// speedup of ~4-6× over full detailed simulation. Repeat runs against a
+// speedup of ~7-8× over full detailed simulation with two window workers
+// on two CPUs (EXPERIMENTS.md). Repeat runs against a
 // result store skip the fast-forward entirely (the checkpoint sequence
 // is content-addressed too) and reduce to hashing — the ~100× regime.
 // Dial Warmup down (e.g. 32768) to trade accuracy for cold speed.
@@ -243,18 +245,10 @@ type Options struct {
 // emulator throughput) far above the long-workload tier.
 const defaultMaxInsns = 2_000_000_000
 
-// point is one selected interval: its start (= checkpoint position),
-// the checkpoint to restart from, and the functionally-warmed
-// microarchitectural snapshot to adopt.
-type point struct {
-	start uint64
-	ck    checkpoint
-	enc   []byte // ck.MarshalBinary(): the window's content address
-	warm  *uarch.WarmState
-}
-
 // Run fast-forwards the target's workload, measures the plan's sample
 // windows on the detailed core, and reconstructs whole-program metrics.
+// Windows run on the worker pool while the fast-forward is still going:
+// each checkpoint is handed over as soon as it is taken.
 func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -265,18 +259,58 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 		limit = defaultMaxInsns
 	}
 
-	// Phase 0: fully-cached fast path. When the store already holds this
-	// image's checkpoint sequence AND every window derived from it, the
-	// whole run — fast-forward included — reduces to hashing. Only
-	// legal with no output sink: a cached run executes nothing, and the
-	// program's console output is produced by execution.
+	// Fully-cached fast path. When the store already holds this image's
+	// checkpoint sequence AND every window derived from it, the whole
+	// run — fast-forward included — reduces to hashing. Only legal with
+	// no output sink: a cached run executes nothing, and the program's
+	// console output is produced by execution.
 	if opts.Store != nil && opts.Output == nil {
 		if rep, ok := runFromStore(t, plan, opts, limit, wallStart); ok {
 			return rep, nil
 		}
 	}
 
-	// Phase 1: functional fast-forward, checkpointing every interval.
+	pool := newWindowPool(t, plan, opts)
+	seq, ffErr := fastForward(t, plan, opts, limit, pool)
+	ffWall := time.Since(wallStart)
+	windows, winErr := pool.wait(ffErr != nil)
+	if ffErr != nil {
+		return nil, ffErr
+	}
+	if winErr != nil {
+		return nil, winErr
+	}
+	if opts.Store != nil {
+		// Only once every window is in, so a failed run stores nothing.
+		// Persist the checkpoint sequence so the next run with this image
+		// and checkpoint geometry (any policy/config on the same ISA) can
+		// skip the fast-forward when its windows are all cached too.
+		if err := opts.Store.Put(ffKey(t, plan, limit), encodeFFSeq(seq)); err != nil {
+			return nil, fmt.Errorf("sampling: store fast-forward: %w", err)
+		}
+	}
+
+	rep := reconstruct(t, plan, seq.total, seq.exit, windows)
+	rep.Timing.FFSeconds = ffWall.Seconds()
+	rep.Timing.WallSeconds = time.Since(wallStart).Seconds()
+	rep.Timing.WindowSeconds = rep.Timing.WallSeconds - rep.Timing.FFSeconds
+	if rep.Timing.WallSeconds > 0 {
+		rep.Timing.EffectiveKIPS = float64(seq.total) / rep.Timing.WallSeconds / 1000
+	}
+	for _, w := range windows {
+		if w.Cached {
+			rep.Timing.StoreHits++
+		}
+	}
+	return rep, nil
+}
+
+// fastForward runs the workload on the functional emulator, taking a
+// checkpoint every interval and submitting its window to the pool as
+// soon as it is taken. It stops early, returning a nil sequence and no
+// error, once the pool has stopped on a failed window; the pool then
+// holds the error.
+func fastForward(t *Target, plan Plan, opts Options, limit uint64, pool *windowPool) (*ffSeq, error) {
 	ff := t.newFF()
 	if opts.Output != nil {
 		ff.SetOutput(opts.Output)
@@ -290,7 +324,7 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 	if warmAll {
 		ff.SetWarm(warm)
 	}
-	var pts []point
+	seq := &ffSeq{}
 	for k := uint64(0); ; k++ {
 		target := plan.Offset + k*plan.Interval
 		if target > limit {
@@ -318,45 +352,19 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sampling: marshal checkpoint @%d: %w", target, err)
 		}
-		pts = append(pts, point{start: target, ck: ck, enc: enc, warm: warm.Clone()})
+		if !pool.submit(windowJob{start: target, enc: enc, ck: ck, warm: warm.Clone()}) {
+			return nil, nil
+		}
+		seq.points = append(seq.points, target)
+		seq.encs = append(seq.encs, enc)
 	}
 	ff.SetWarm(nil)
 	done, exitCode := ff.Exited()
 	if !done {
 		return nil, fmt.Errorf("sampling: %s/%s did not exit within %d instructions", t.Policy, t.Cfg.Name, limit)
 	}
-	total := ff.InstCount()
-	if opts.Store != nil {
-		// Persist the checkpoint sequence so the next run with this image
-		// and checkpoint geometry (any policy/config on the same ISA) can
-		// skip the fast-forward when its windows are all cached too.
-		if err := opts.Store.Put(ffKey(t, plan, limit), encodeFFSeq(pts, total, exitCode)); err != nil {
-			return nil, fmt.Errorf("sampling: store fast-forward: %w", err)
-		}
-	}
-	ffWall := time.Since(wallStart)
-
-	// Phase 2: fan the windows across the worker pool, one reusable core
-	// per worker (Restart per window, construction once).
-	windows, err := runWindows(t, plan, opts, pts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: reconstruct whole-program metrics.
-	rep := reconstruct(t, plan, total, exitCode, windows)
-	rep.Timing.FFSeconds = ffWall.Seconds()
-	rep.Timing.WallSeconds = time.Since(wallStart).Seconds()
-	rep.Timing.WindowSeconds = rep.Timing.WallSeconds - rep.Timing.FFSeconds
-	if rep.Timing.WallSeconds > 0 {
-		rep.Timing.EffectiveKIPS = float64(total) / rep.Timing.WallSeconds / 1000
-	}
-	for _, w := range windows {
-		if w.Cached {
-			rep.Timing.StoreHits++
-		}
-	}
-	return rep, nil
+	seq.total, seq.exit = ff.InstCount(), exitCode
+	return seq, nil
 }
 
 // runFromStore attempts the fully-cached run: load the checkpoint
@@ -407,54 +415,102 @@ func runFromStore(t *Target, plan Plan, opts Options, limit uint64, wallStart ti
 	return rep, true
 }
 
-// runWindows executes every sample window on a bounded pool, returning
-// results in interval order regardless of completion order (same
-// discipline as the bench runner, so reports are identical at any
-// worker count).
-func runWindows(t *Target, plan Plan, opts Options, pts []point) ([]WindowResult, error) {
-	results := make([]WindowResult, len(pts))
-	errs := make([]error, len(pts))
-	if len(pts) == 0 {
-		return results, nil
-	}
+// windowJob is one sample window handed from the fast-forward to the
+// pool: its interval, the checkpoint and functionally-warmed state it
+// restarts from (both dropped once the window is measured), and where
+// its outcome goes.
+type windowJob struct {
+	idx   int
+	start uint64 // checkpoint position
+	enc   []byte // ck.MarshalBinary(): the window's content address
+	ck    checkpoint
+	warm  *uarch.WarmState
+	out   *windowOut
+}
+
+type windowOut struct {
+	res WindowResult
+	err error
+}
+
+// windowPool runs sample windows on at most Options.Workers goroutines,
+// one reusable core per worker (Restart per window, construction once).
+// Workers start with the first windows, so a run with fewer windows
+// than workers starts only as many. The submit side — the fast-forward —
+// is the only sender, so submit and wait must be called from one
+// goroutine.
+type windowPool struct {
+	t       *Target
+	plan    Plan
+	opts    Options
+	workers int
+
+	// jobs is unbuffered: the fast-forward waits while every worker is
+	// busy, so at most workers+1 checkpoints and warm clones are alive.
+	jobs chan windowJob
+	outs []*windowOut // interval order; read only after wait
+	stop atomic.Bool  // a window or the fast-forward failed
+	wg   sync.WaitGroup
+}
+
+func newWindowPool(t *Target, plan Plan, opts Options) *windowPool {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pts) {
-		workers = len(pts)
+	return &windowPool{t: t, plan: plan, opts: opts, workers: workers, jobs: make(chan windowJob)}
+}
+
+// submit hands a window to the pool, blocking while every worker is
+// busy. It reports false, running nothing, once a window has failed.
+func (wp *windowPool) submit(j windowJob) bool {
+	if wp.stop.Load() {
+		return false
 	}
-	var failed atomic.Bool
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var core engine.Sim // built on first real window, reused via Restart
-			for idx := range next {
-				if failed.Load() {
-					continue
-				}
-				res, err := runOneWindow(t, plan, opts, &core, idx, pts[idx])
-				if err != nil {
-					errs[idx] = fmt.Errorf("sampling: window %d @%d: %w", idx, pts[idx].start, err)
-					failed.Store(true)
-					continue
-				}
-				results[idx] = res
-			}
-		}()
+	j.idx = len(wp.outs)
+	j.out = &windowOut{}
+	wp.outs = append(wp.outs, j.out)
+	if len(wp.outs) <= wp.workers {
+		wp.wg.Add(1)
+		go wp.work()
 	}
-	for i := range pts {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	wp.jobs <- j
+	return true
+}
+
+func (wp *windowPool) work() {
+	defer wp.wg.Done()
+	var core engine.Sim // built on first real window, reused via Restart
+	for j := range wp.jobs {
+		if wp.stop.Load() {
+			continue
 		}
+		res, err := runOneWindow(wp.t, wp.plan, wp.opts, &core, j)
+		if err != nil {
+			j.out.err = fmt.Errorf("sampling: window %d @%d: %w", j.idx, j.start, err)
+			wp.stop.Store(true)
+			continue
+		}
+		j.out.res = res
+	}
+}
+
+// wait closes the pool and waits for its workers; abandon skips windows
+// not yet started. It returns the results in interval order regardless
+// of completion order (same discipline as the bench runner, so reports
+// are identical at any worker count), or the lowest-index window error.
+func (wp *windowPool) wait(abandon bool) ([]WindowResult, error) {
+	if abandon {
+		wp.stop.Store(true)
+	}
+	close(wp.jobs)
+	wp.wg.Wait()
+	results := make([]WindowResult, len(wp.outs))
+	for i, o := range wp.outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+		results[i] = o.res
 	}
 	return results, nil
 }
@@ -463,16 +519,16 @@ func runWindows(t *Target, plan Plan, opts Options, pts []point) ([]WindowResult
 // else Restart-from-checkpoint, discarded warmup, measured window.
 // *core is the worker's reusable core, built lazily so fully-cached
 // sweeps construct no cores at all.
-func runOneWindow(t *Target, plan Plan, opts Options, core *engine.Sim, idx int, p point) (WindowResult, error) {
-	key, err := windowKey(t, plan, p.enc)
+func runOneWindow(t *Target, plan Plan, opts Options, core *engine.Sim, j windowJob) (WindowResult, error) {
+	key, err := windowKey(t, plan, j.enc)
 	if err != nil {
 		return WindowResult{}, err
 	}
 	if opts.Store != nil {
 		if raw, ok := opts.Store.Get(key); ok {
 			if wr, err := decodeWindow(raw); err == nil {
-				wr.Index = idx
-				wr.Start = p.start
+				wr.Index = j.idx
+				wr.Start = j.start
 				wr.Key = key.String()
 				wr.Cached = true
 				return wr, nil
@@ -485,12 +541,12 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *engine.Sim, idx int,
 		*core = t.machine.New(t.Cfg, t.Img, engine.Options{})
 	}
 	c := *core
-	if err := c.Restart(t.Img, p.ck); err != nil {
+	if err := c.Restart(t.Img, j.ck); err != nil {
 		return WindowResult{}, err
 	}
-	c.AdoptWarm(p.warm)
+	c.AdoptWarm(j.warm)
 	warmup, window := plan.Warmup, plan.Window
-	if p.start == 0 && plan.Window == plan.Interval {
+	if j.start == 0 && plan.Window == plan.Interval {
 		// Dense tiling plans measure every instruction, and the entry
 		// window restores at instruction 0, where cold state *is* the
 		// true machine state — a warmup would discard real instructions
@@ -523,8 +579,8 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *engine.Sim, idx int,
 	delta := c.Stats().Sub(s0)
 
 	wr := WindowResult{
-		Index:         idx,
-		Start:         p.start,
+		Index:         j.idx,
+		Start:         j.start,
 		Key:           key.String(),
 		WarmupRetired: s0.Retired,
 		Retired:       delta.Retired,

@@ -2,9 +2,15 @@ package sampling_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"straight/internal/bench"
 	"straight/internal/emu/riscvemu"
@@ -12,6 +18,7 @@ import (
 	"straight/internal/perf"
 	"straight/internal/resultstore"
 	"straight/internal/sampling"
+	"straight/internal/uarch"
 	"straight/internal/workloads"
 )
 
@@ -236,6 +243,107 @@ func TestSampledOffset(t *testing.T) {
 	}
 	if rep.IPC <= 0 {
 		t.Errorf("offset plan IPC = %v", rep.IPC)
+	}
+}
+
+// requireNoLeak fails the test unless the goroutine count returns to
+// base: Run waits for its workers, but a goroutine that has signalled
+// completion may still be counted for a moment after it.
+func requireNoLeak(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Run returned, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// interruptOnWrite sets the flag when the program prints, which the
+// workloads do only just before they exit.
+type interruptOnWrite struct{ flag *atomic.Bool }
+
+func (w interruptOnWrite) Write(p []byte) (int, error) {
+	w.flag.Store(true)
+	return len(p), nil
+}
+
+// TestSampledInterruptWindows: an Interrupt set while windows are in
+// flight cancels them and Run returns uarch.ErrInterrupted. The plan
+// puts two checkpoints in the program, and each window's warmup runs to
+// the exit in detail, so both windows are still simulating when the
+// fast-forward reaches the program's final print and sets the flag.
+func TestSampledInterruptWindows(t *testing.T) {
+	k, err := perf.KernelByName("straight-2way")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := buildTarget(t, k, matrixCase{w: workloads.MicroFib, iters: 4})
+	m := straightemu.New(tgt.Img)
+	if _, err := m.Run(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+	total := m.InstCount()
+	plan := sampling.Plan{Interval: total/2 + 1, Warmup: total, Window: 1024}
+
+	base := runtime.NumGoroutine()
+	var stop atomic.Bool
+	_, err = sampling.Run(tgt, plan, sampling.Options{Workers: 2, Output: interruptOnWrite{&stop}, Interrupt: &stop})
+	if !errors.Is(err, uarch.ErrInterrupted) {
+		t.Fatalf("Run = %v, want %v", err, uarch.ErrInterrupted)
+	}
+	requireNoLeak(t, base)
+}
+
+// TestSampledInsnCap: a MaxInsns cap below the program's length is the
+// "did not exit" error, after the windows already submitted finish.
+func TestSampledInsnCap(t *testing.T) {
+	k, err := perf.KernelByName("ss-2way")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := buildTarget(t, k, matrixCase{w: workloads.MicroFib, iters: 1})
+	base := runtime.NumGoroutine()
+	_, err = sampling.Run(tgt, densePlan(), sampling.Options{Workers: 2, MaxInsns: 4 * densePlan().Interval})
+	if err == nil || !strings.Contains(err.Error(), "did not exit within 4096 instructions") {
+		t.Fatalf("Run = %v, want the did-not-exit error", err)
+	}
+	requireNoLeak(t, base)
+}
+
+// TestSampledWindowFailure: a failing window stops the fast-forward
+// early and Run returns the lowest-index window error. A closed store
+// fails every window's Put. The workload prints only before it exits,
+// so empty output shows the fast-forward stopped short of the exit.
+func TestSampledWindowFailure(t *testing.T) {
+	k, err := perf.KernelByName("straight-2way")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := buildTarget(t, k, matrixCase{w: workloads.MicroFib, iters: 1})
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "closed.store"), resultstore.Options{Salt: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		base := runtime.NumGoroutine()
+		var out bytes.Buffer
+		_, err := sampling.Run(tgt, densePlan(), sampling.Options{Workers: workers, Store: store, Output: &out})
+		if !errors.Is(err, os.ErrInvalid) {
+			t.Fatalf("workers=%d: Run = %v, want a window store error wrapping %v", workers, err, os.ErrInvalid)
+		}
+		// With one worker, windows run in interval order, so window 0 is
+		// the first (and lowest-index) failure.
+		if workers == 1 && !strings.Contains(err.Error(), "sampling: window 0 @0: store put:") {
+			t.Errorf("workers=1: Run = %v, want window 0's error", err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("workers=%d: the fast-forward ran to the exit (output %q) after a window failed", workers, out.String())
+		}
+		requireNoLeak(t, base)
 	}
 }
 

@@ -79,9 +79,9 @@ func ffKey(t *Target, plan Plan, limit uint64) resultstore.Key {
 	return kh.Sum()
 }
 
-// ffSeq is the cached fast-forward outcome: each checkpoint's position
-// and canonical serialization, plus the whole program's retired count
-// and exit code.
+// ffSeq is a fast-forward's outcome, as cached: each checkpoint's
+// position and canonical serialization, plus the whole program's
+// retired count and exit code.
 type ffSeq struct {
 	points []uint64 // checkpoint positions, strictly increasing
 	encs   [][]byte // canonical checkpoint serializations, same order
@@ -93,14 +93,14 @@ type ffSeq struct {
 //
 //	u64 total, u32 exit-code (two's complement), u32 count,
 //	count × (u64 start, u32 len, len bytes)
-func encodeFFSeq(points []point, total uint64, exit int32) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, total)
-	b = binary.LittleEndian.AppendUint32(b, uint32(exit))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(points)))
-	for _, p := range points {
-		b = binary.LittleEndian.AppendUint64(b, p.start)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.enc)))
-		b = append(b, p.enc...)
+func encodeFFSeq(s *ffSeq) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, s.total)
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.exit))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.points)))
+	for i, start := range s.points {
+		b = binary.LittleEndian.AppendUint64(b, start)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.encs[i])))
+		b = append(b, s.encs[i]...)
 	}
 	return b
 }

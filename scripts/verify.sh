@@ -43,11 +43,13 @@ go test -race ./internal/served/...
 go test -race ./internal/perf/...
 go test ./internal/perf -run TestSteadyStateAllocs
 # Sampled simulation (DESIGN.md §16): windows fan out over a worker
-# pool sharing one result store, so the runner must be race-clean. The
-# accuracy matrix is too slow under instrumentation; the determinism,
-# idle-skip-invariance and offset tests exercise the same pool, store,
-# and fully-cached fast path.
-go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset'
+# pool sharing one result store while the fast-forward keeps running,
+# so the runner must be race-clean. The accuracy matrix is too slow
+# under instrumentation; the determinism, idle-skip-invariance and
+# offset tests exercise the same pool, store, and fully-cached fast
+# path, and the interrupt, instruction-cap and window-failure tests its
+# stop paths.
+go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset|TestSampledInterruptWindows|TestSampledInsnCap|TestSampledWindowFailure'
 
 # Bounded differential co-simulation smoke: random programs through the
 # full oracle stack (sverify, strict emulators, cross-ISA observables,
