@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"straight/internal/cores/engine"
+	"straight/internal/emu/riscvemu"
+	"straight/internal/emu/straightemu"
 	"straight/internal/uarch"
 )
 
@@ -116,5 +119,49 @@ func TestCompileErrorsSurface(t *testing.T) {
 	}
 	if _, err := tc.Assemble("BOGUS [1]", TargetStraight); err == nil {
 		t.Error("assembly error not surfaced")
+	}
+}
+
+// TestRestartRejectsOtherISA: every machine restarts from a checkpoint
+// of its own ISA's emulator and refuses one taken by the other ISA's,
+// instead of seeding its registers from a foreign payload.
+func TestRestartRejectsOtherISA(t *testing.T) {
+	tc := NewToolchain()
+	images := map[Target]*Program{}
+	for _, target := range []Target{TargetStraight, TargetRISCV} {
+		prog, err := tc.CompileC(testSrc, target, CompileOptions{MaxDistance: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[target] = prog
+	}
+	sm := straightemu.New(images[TargetStraight].Image)
+	rm := riscvemu.New(images[TargetRISCV].Image)
+	if err := sm.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	// restart seeds c from a checkpoint of the given ISA's emulator.
+	restart := func(c engine.Sim, img *Program, from Target) error {
+		if from == TargetStraight {
+			return c.Restart(img.Image, sm.Checkpoint())
+		}
+		return c.Restart(img.Image, rm.Checkpoint())
+	}
+	for _, m := range Machines() {
+		img := images[m.Target]
+		other := TargetRISCV
+		if m.Target == TargetRISCV {
+			other = TargetStraight
+		}
+		c := m.New(m.TwoWay(), img.Image, engine.Options{})
+		if err := restart(c, img, m.Target); err != nil {
+			t.Errorf("%s: Restart from its own ISA's checkpoint: %v", m.Policy, err)
+		}
+		if err := restart(c, img, other); err == nil {
+			t.Errorf("%s: Restart accepted the other ISA's checkpoint", m.Policy)
+		}
 	}
 }

@@ -21,13 +21,16 @@ func TestFetchFaults(t *testing.T) {
 		pc    uint32
 		count uint64
 		msg   string
+		// text, when set, is the full Error() string.
+		text string
 	}{
 		{
 			name: "misaligned-pc",
 			src:  "main:\n addi x0, x0, 0\n",
 			edit: func(im *program.Image) { im.Entry += 2 },
 			kind: FaultFetch, pc: 0x1002, count: 0,
-			msg: "program: misaligned instruction fetch at 0x00001002",
+			msg:  "program: misaligned instruction fetch at 0x00001002",
+			text: "riscvemu: fetch fault at pc=0x00001002 insn#0: program: misaligned instruction fetch at 0x00001002",
 		},
 		{
 			name: "below-text",
@@ -67,6 +70,9 @@ func TestFetchFaults(t *testing.T) {
 			if f.Kind != c.kind || f.PC != c.pc || f.Count != c.count || f.Msg != c.msg {
 				t.Errorf("fault = {%s pc=%#x count=%d %q}, want {%s pc=%#x count=%d %q}",
 					f.Kind, f.PC, f.Count, f.Msg, c.kind, c.pc, c.count, c.msg)
+			}
+			if c.text != "" && f.Error() != c.text {
+				t.Errorf("Error() = %q, want %q", f.Error(), c.text)
 			}
 		})
 	}
