@@ -23,15 +23,17 @@ lint:
 staticcheck:
 	go run "honnef.co/go/tools/cmd/staticcheck@$$(cat scripts/staticcheck-version)" ./...
 
-# Short fuzzing pass over the instruction decoder, the assembler, both
-# emulators' checkpoint decoders, and the differential lockstep harness.
-# Checkpoint seeds are 8-16 KB, so minimizing each new input is capped at
-# 100 executions instead of the default 60 s.
+# Short fuzzing pass over the instruction decoder, the assembler, the
+# sampler's decoders of the entries it reads back from the result store
+# (cached fast-forward sequences and window payloads), and the
+# differential lockstep harness. Fast-forward seeds carry whole
+# checkpoints, so minimizing each new input is capped at 100 executions
+# instead of the default 60 s.
 fuzz:
 	go test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/isa/straight
 	go test -run=NONE -fuzz=FuzzAssemble -fuzztime=30s ./internal/sasm
-	go test -run=NONE -fuzz=FuzzCheckpointUnmarshal -fuzztime=30s -fuzzminimizetime=100x ./internal/emu/straightemu
-	go test -run=NONE -fuzz=FuzzCheckpointUnmarshal -fuzztime=30s -fuzzminimizetime=100x ./internal/emu/riscvemu
+	go test -run=NONE -fuzz=FuzzDecodeFFSeq -fuzztime=30s -fuzzminimizetime=100x ./internal/sampling
+	go test -run=NONE -fuzz=FuzzDecodeWindow -fuzztime=30s ./internal/sampling
 	go test -run=NONE -fuzz=FuzzLockstep -fuzztime=10s ./internal/fuzzgen
 
 # Randomized differential co-simulation sweep (see DESIGN.md §10).

@@ -10,6 +10,7 @@ import (
 	"straight/internal/cores/engine"
 	"straight/internal/cores/sscore"
 	"straight/internal/cores/straightcore"
+	"straight/internal/emu"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/ir"
@@ -44,14 +45,26 @@ type ISA struct {
 	disassemble func(im *program.Image) string
 	// emulate builds the functional emulator for an image, plus a
 	// closure that files the ISA's statistics into a result.
-	emulate func(im *program.Image) (emulator, func(*EmulateResult))
+	emulate func(im *program.Image) (Emulator, func(*EmulateResult))
 }
 
-// emulator is the surface Emulate drives on either functional emulator.
-type emulator interface {
+// Emulator is the surface of a functional emulator (straightemu,
+// riscvemu): full runs for Emulate, and the checkpointing, warming
+// fast-forward the sampled simulator drives (DESIGN.md §16).
+type Emulator interface {
 	SetOutput(w io.Writer)
+	// Run executes until exit; reaching maxInsns first is a fault.
 	Run(maxInsns uint64) (uint64, error)
+	// RunUntil executes until the retired count reaches target or the
+	// program exits; stopping at target is success.
+	RunUntil(target uint64) error
+	InstCount() uint64
 	Exited() (bool, int32)
+	Checkpoint() *emu.Checkpoint
+	// SetWarm arms (or, with nil, disarms) functional warming: every
+	// retired instruction trains w's replica caches, direction
+	// predictor, BTB and RAS.
+	SetWarm(w *uarch.WarmState)
 }
 
 // Machine is one detailed core: a policy over the shared cycle engine
@@ -78,7 +91,7 @@ var isas = [...]ISA{
 		},
 		assemble:    func(asm string) (*program.Image, error) { return sasm.Assemble(asm) },
 		disassemble: sasm.Disassemble,
-		emulate: func(im *program.Image) (emulator, func(*EmulateResult)) {
+		emulate: func(im *program.Image) (Emulator, func(*EmulateResult)) {
 			m := straightemu.New(im)
 			return m, func(r *EmulateResult) { r.StraightStats = m.Stats() }
 		},
@@ -88,7 +101,7 @@ var isas = [...]ISA{
 		compile:     func(mod *ir.Module, _ CompileOptions) (string, error) { return riscvbe.Compile(mod) },
 		assemble:    rasm.Assemble,
 		disassemble: rasm.Disassemble,
-		emulate: func(im *program.Image) (emulator, func(*EmulateResult)) {
+		emulate: func(im *program.Image) (Emulator, func(*EmulateResult)) {
 			m := riscvemu.New(im)
 			return m, func(r *EmulateResult) { r.RISCVStats = m.Stats() }
 		},
@@ -119,6 +132,13 @@ func (t Target) Machine() (*Machine, error) {
 		return nil, err
 	}
 	return LookupMachine(isa.Reference)
+}
+
+// NewEmulator builds the ISA's functional emulator for an image: the
+// machine Emulate runs and the sampled simulator fast-forwards on.
+func (isa *ISA) NewEmulator(im *program.Image) Emulator {
+	m, _ := isa.emulate(im)
+	return m
 }
 
 // LookupISA returns the ISA with the given Name.

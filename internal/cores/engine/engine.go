@@ -19,6 +19,7 @@ import (
 	"io"
 	"sync/atomic"
 
+	"straight/internal/emu"
 	"straight/internal/program"
 	"straight/internal/ptrace"
 	"straight/internal/uarch"
@@ -101,7 +102,7 @@ type Sim interface {
 	Reset(img *program.Image)
 	// Restart resets the core and seeds it from a mid-program
 	// architectural checkpoint (DESIGN.md §16).
-	Restart(img *program.Image, ck ArchState) error
+	Restart(img *program.Image, ck *emu.Checkpoint) error
 	// AdoptWarm copies functionally-warmed cache/predictor state into
 	// the core after a Restart.
 	AdoptWarm(w *uarch.WarmState)
@@ -241,10 +242,11 @@ type Policy[I Inst] interface {
 	Reset(c *Core[I], img *program.Image)
 	// Restore seeds the policy's architectural state — golden emulator,
 	// rename bookkeeping, committed register values — from a mid-program
-	// checkpoint. Core.Restart is the only caller; it runs Reset first,
-	// so Restore starts from a clean power-on core and only has to layer
-	// the checkpointed state on top (DESIGN.md §16).
-	Restore(c *Core[I], ck ArchState) error
+	// checkpoint, refusing one of another ISA. Core.Restart is the only
+	// caller; it runs Reset first, so Restore starts from a clean
+	// power-on core and only has to layer the checkpointed state on top
+	// (DESIGN.md §16).
+	Restore(c *Core[I], ck *emu.Checkpoint) error
 
 	// Decode decodes one instruction word; ok=false halts fetch until
 	// the next redirect (wrong-path garbage).

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"straight/internal/emu"
 	"straight/internal/program"
 	"straight/internal/uarch"
 )
@@ -13,36 +14,20 @@ import (
 // one so simulation can begin mid-program, skipping the fast-forwarded
 // prefix entirely.
 
-// ArchState is an opaque architectural checkpoint taken by a functional
-// emulator (straightemu.Checkpoint or riscvemu.Checkpoint). The engine
-// consumes only the ISA-neutral part — PC, memory, progress, exit
-// status; each policy type-asserts the concrete checkpoint to recover
-// its ISA's register state.
-type ArchState interface {
-	// Count is the number of instructions retired before the checkpoint.
-	Count() uint64
-	// PC is the address of the next instruction to execute.
-	PC() uint32
-	// Mem is the checkpointed memory. Read-only for consumers: the
-	// checkpoint must stay valid for further restores.
-	Mem() *program.Memory
-	// Exited reports whether the checkpointed program had already exited.
-	Exited() (bool, int32)
-}
-
 // Restart reinitializes the core exactly like Reset and then seeds it
-// from the checkpoint: fetch resumes at the checkpointed PC, memory is
-// copied frame-reusing into the core's backing store, and the policy
-// layers its architectural register state and golden emulator on top.
+// from a functional emulator's checkpoint: fetch resumes at the
+// checkpointed PC, memory is copied frame-reusing into the core's
+// backing store, and the policy checks the checkpoint's ISA and layers
+// its architectural register state and golden emulator on top.
 // Like Reset, it exists for batch reuse — one core per worker restarts
 // across many sample windows without reallocating.
-func (c *Core[I]) Restart(img *program.Image, ck ArchState) error {
-	if done, _ := ck.Exited(); done {
+func (c *Core[I]) Restart(img *program.Image, ck *emu.Checkpoint) error {
+	if ck.Exited {
 		return fmt.Errorf("%s: Restart from an already-exited checkpoint", c.pol.Name())
 	}
 	c.Reset(img)
-	c.FetchPC = ck.PC()
-	c.mem.CopyFrom(ck.Mem())
+	c.FetchPC = ck.PC
+	c.mem.CopyFrom(ck.Mem)
 	return c.pol.Restore(c, ck)
 }
 

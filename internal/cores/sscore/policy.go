@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"straight/internal/cores/engine"
+	"straight/internal/emu"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/isa/riscv"
 	"straight/internal/program"
@@ -102,12 +103,11 @@ func (p *Policy) Reset(c *engine.Core[riscv.Inst], img *program.Image) {
 }
 
 //lint:coldpath window boundary: runs between sample windows, never inside the cycle loop
-func (p *Policy) Restore(c *engine.Core[riscv.Inst], ck engine.ArchState) error {
-	rck, ok := ck.(*riscvemu.Checkpoint)
-	if !ok {
-		return fmt.Errorf("sscore: checkpoint type %T, want *riscvemu.Checkpoint", ck)
+func (p *Policy) Restore(c *engine.Core[riscv.Inst], ck *emu.Checkpoint) error {
+	if ck.ISA != emu.RISCV {
+		return fmt.Errorf("sscore: checkpoint from %s, want %s", ck.ISA, emu.RISCV)
 	}
-	p.emu.Restore(rck)
+	p.emu.Restore(ck)
 	p.emu.SetOutput(p.out)
 	// Reset rebuilt the identity RMT and the free list; layering the
 	// committed architectural values into physicals 0..31 completes the
@@ -116,7 +116,7 @@ func (p *Policy) Restore(c *engine.Core[riscv.Inst], ck engine.ArchState) error 
 		c.PRF[i] = p.emu.Reg(i)
 	}
 	if p.fetchOracle != nil {
-		p.fetchOracle.Restore(rck)
+		p.fetchOracle.Restore(ck)
 	}
 	return nil
 }
@@ -143,17 +143,14 @@ func (p *Policy) PredictControl(c *engine.Core[riscv.Inst], pc uint32, inst risc
 		e.PredMeta = meta
 		return taken, pc + uint32(inst.Imm)
 	default: // JAL / JALR
-		if inst.Op == riscv.JAL {
-			if inst.Rd == riscv.RegRA {
-				c.RAS.Push(pc + 4)
-			}
-			return true, pc + uint32(inst.Imm)
-		}
-		// JALR: return if rs1==ra && rd==x0; else indirect via BTB.
-		if inst.Rd == riscv.RegRA {
+		h := inst.Hints()
+		if h.Call {
 			c.RAS.Push(pc + 4)
 		}
-		if inst.Rd == 0 && inst.Rs1 == riscv.RegRA {
+		if !h.Indirect {
+			return true, pc + uint32(inst.Imm)
+		}
+		if h.Return {
 			if t, ok := c.RAS.Pop(); ok {
 				return true, t
 			}
@@ -300,7 +297,7 @@ func isImmOp(op riscv.Op) bool {
 	return false
 }
 
-func (p *Policy) UpdatesBTB(inst riscv.Inst) bool { return inst.Op == riscv.JALR }
+func (p *Policy) UpdatesBTB(inst riscv.Inst) bool { return inst.Hints().Indirect }
 
 // RecoveryWalk models the SS recovery cost: the ROB is walked from the
 // tail to the faulting instruction, undoing register mappings and
@@ -347,13 +344,12 @@ func (p *Policy) RecoveryPenalty(c *engine.Core[riscv.Inst], walked int64) {
 }
 
 func (p *Policy) RASRecover(c *engine.Core[riscv.Inst], u *engine.Uop[riscv.Inst]) {
-	if u.Inst.Op == riscv.JAL || u.Inst.Op == riscv.JALR {
-		if u.Inst.Rd == riscv.RegRA {
-			c.RAS.Push(u.PC + 4)
-		}
-		if u.Inst.Rd == 0 && u.Inst.Rs1 == riscv.RegRA {
-			c.RAS.Pop()
-		}
+	h := u.Inst.Hints()
+	if h.Call {
+		c.RAS.Push(u.PC + 4)
+	}
+	if h.Return {
+		c.RAS.Pop()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"straight/internal/cores/engine"
+	"straight/internal/emu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/isa/straight"
 	"straight/internal/program"
@@ -88,12 +89,11 @@ func (p *policy) Reset(c *engine.Core[straight.Inst], img *program.Image) {
 }
 
 //lint:coldpath window boundary: runs between sample windows, never inside the cycle loop
-func (p *policy) Restore(c *engine.Core[straight.Inst], ck engine.ArchState) error {
-	sck, ok := ck.(*straightemu.Checkpoint)
-	if !ok {
-		return fmt.Errorf("straightcore: checkpoint type %T, want *straightemu.Checkpoint", ck)
+func (p *policy) Restore(c *engine.Core[straight.Inst], ck *emu.Checkpoint) error {
+	if ck.ISA != emu.STRAIGHT {
+		return fmt.Errorf("straightcore: checkpoint from %s, want %s", ck.ISA, emu.STRAIGHT)
 	}
-	p.emu.Restore(sck)
+	p.emu.Restore(ck)
 	p.emu.SetOutput(p.out)
 	// RP is the dynamic instruction count mod MAX_RP: at power-on both
 	// are zero and every instruction advances both by one (paper §III).
@@ -111,7 +111,7 @@ func (p *policy) Restore(c *engine.Core[straight.Inst], ck engine.ArchState) err
 		c.PRF[reg] = p.emu.Reg(uint16(d))
 	}
 	if p.fetchOracle != nil {
-		p.fetchOracle.Restore(sck)
+		p.fetchOracle.Restore(ck)
 	}
 	return nil
 }
@@ -136,20 +136,18 @@ func (p *policy) PredictControl(c *engine.Core[straight.Inst], pc uint32, inst s
 		taken, meta := c.Pred.Predict(pc)
 		e.PredMeta = meta
 		return taken, pc + uint32(inst.Imm)*4
-	case straight.J:
-		return true, pc + uint32(inst.Imm)*4
-	case straight.JAL:
-		c.RAS.Push(pc + 4)
-		return true, pc + uint32(inst.Imm)*4
-	case straight.JALR:
-		c.RAS.Push(pc + 4)
-		if t, ok := c.BTB.Lookup(pc); ok {
-			return true, t
+	case straight.J, straight.JAL, straight.JALR, straight.JR:
+		h := inst.Hints()
+		if h.Call {
+			c.RAS.Push(pc + 4)
 		}
-		return false, pc + 4
-	case straight.JR:
-		if t, ok := c.RAS.Pop(); ok {
-			return true, t
+		if !h.Indirect {
+			return true, pc + uint32(inst.Imm)*4
+		}
+		if h.Return {
+			if t, ok := c.RAS.Pop(); ok {
+				return true, t
+			}
 		}
 		if t, ok := c.BTB.Lookup(pc); ok {
 			return true, t
@@ -292,9 +290,7 @@ func (p *policy) Execute(c *engine.Core[straight.Inst], u *engine.Uop[straight.I
 	return true
 }
 
-func (p *policy) UpdatesBTB(inst straight.Inst) bool {
-	return inst.Op == straight.JALR || inst.Op == straight.JR
-}
+func (p *policy) UpdatesBTB(inst straight.Inst) bool { return inst.Hints().Indirect }
 
 // RecoveryWalk is where STRAIGHT differs fundamentally from the
 // superscalar (paper §III-B, Fig 4): a single ROB entry read restores the
@@ -346,10 +342,11 @@ func (p *policy) RecoveryPenalty(c *engine.Core[straight.Inst], walked int64) {
 }
 
 func (p *policy) RASRecover(c *engine.Core[straight.Inst], u *engine.Uop[straight.Inst]) {
-	switch u.Inst.Op {
-	case straight.JAL, straight.JALR:
+	h := u.Inst.Hints()
+	if h.Call {
 		c.RAS.Push(u.PC + 4)
-	case straight.JR:
+	}
+	if h.Return {
 		c.RAS.Pop()
 	}
 }

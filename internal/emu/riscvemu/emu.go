@@ -4,58 +4,27 @@
 package riscvemu
 
 import (
-	"fmt"
 	"io"
-	"strconv"
 
+	"straight/internal/emu"
 	"straight/internal/isa/riscv"
 	"straight/internal/program"
+	"straight/internal/uarch"
 )
 
-// FaultKind classifies an architectural fault so callers (in particular
-// the differential fuzzer's oracle stack) can distinguish a malformed
-// program from a genuine simulator divergence.
-type FaultKind uint8
+// Fault and its kinds are the emulators' shared fault (internal/emu).
+type (
+	Fault     = emu.Fault
+	FaultKind = emu.FaultKind
+)
 
 const (
-	// FaultFetch: instruction fetch outside text or misaligned PC.
-	FaultFetch FaultKind = iota
-	// FaultDecode: illegal instruction word or EBREAK.
-	FaultDecode
-	// FaultMisaligned: misaligned data access or jump target.
-	FaultMisaligned
-	// FaultBadSys: unknown syscall function code.
-	FaultBadSys
-	// FaultLimit: the Run instruction limit was reached without exit.
-	FaultLimit
+	FaultFetch      = emu.FaultFetch
+	FaultDecode     = emu.FaultDecode
+	FaultMisaligned = emu.FaultMisaligned
+	FaultBadSys     = emu.FaultBadSys
+	FaultLimit      = emu.FaultLimit
 )
-
-var faultKindNames = [...]string{
-	FaultFetch:      "fetch",
-	FaultDecode:     "decode",
-	FaultMisaligned: "misaligned",
-	FaultBadSys:     "bad-sys",
-	FaultLimit:      "insn-limit",
-}
-
-func (k FaultKind) String() string {
-	if int(k) < len(faultKindNames) {
-		return faultKindNames[k]
-	}
-	return fmt.Sprintf("FaultKind(%d)", uint8(k))
-}
-
-// Fault is an architectural execution fault.
-type Fault struct {
-	Kind  FaultKind
-	PC    uint32
-	Count uint64
-	Msg   string
-}
-
-func (f *Fault) Error() string {
-	return fmt.Sprintf("riscvemu: %s fault at pc=%#08x insn#%d: %s", f.Kind, f.PC, f.Count, f.Msg)
-}
 
 // Syscall function codes, passed in a7 with the argument in a0. They
 // mirror the STRAIGHT SYS functions so the same workload source produces
@@ -89,18 +58,9 @@ func (s *Stats) Total() uint64 {
 
 // Machine is an RV32IM architectural machine.
 type Machine struct {
-	image *program.Image
-	mem   *program.Memory
+	emu.Frame
 
-	pc    uint32
 	regs  [32]uint32
-	count uint64
-
-	exited   bool
-	exitCode int32
-
-	out   io.Writer //lint:resetless output attachment, survives Reset by design
-	ioBuf []byte    // reusable console-output buffer (keeps syscalls allocation-free)
 	stats Stats
 
 	// dec caches the decode of every text word so Step pays the decoder
@@ -129,14 +89,8 @@ type Retired struct {
 // New creates a machine for the image with an isolated memory copy.
 // SP (x2) starts at the top of the stack.
 func New(im *program.Image) *Machine {
-	m := &Machine{
-		image: im,
-		mem:   program.NewMemory(),
-		pc:    im.Entry,
-		out:   io.Discard,
-	}
+	m := &Machine{Frame: emu.NewFrame(emu.RISCV, im)}
 	m.regs[riscv.RegSP] = program.DefaultStackTop
-	m.mem.LoadImage(im)
 	m.predecode()
 	return m
 }
@@ -144,8 +98,8 @@ func New(im *program.Image) *Machine {
 // predecode decodes every text word once. A fresh slice is allocated on
 // every rebuild so clones sharing the old cache stay consistent.
 func (m *Machine) predecode() {
-	dec := make([]riscv.Inst, len(m.image.Text))
-	for i, w := range m.image.Text {
+	dec := make([]riscv.Inst, len(m.Image.Text))
+	for i, w := range m.Image.Text {
 		dec[i] = riscv.Decode(w)
 	}
 	m.dec = dec
@@ -157,87 +111,59 @@ func (m *Machine) predecode() {
 // is re-armed per use).
 func (m *Machine) Reset(img *program.Image) {
 	if img == nil {
-		img = m.image
+		img = m.Image
 	}
-	rebuild := img != m.image || m.dec == nil
-	m.image = img
+	rebuild := img != m.Image || m.dec == nil
+	m.Frame.Reset(img)
 	if rebuild {
 		m.predecode()
 	}
-	m.mem.Reset()
-	m.mem.LoadImage(img)
-	m.pc = img.Entry
 	m.regs = [32]uint32{}
 	m.regs[riscv.RegSP] = program.DefaultStackTop
-	m.count = 0
-	m.exited = false
-	m.exitCode = 0
-	m.ioBuf = m.ioBuf[:0]
 	m.stats = Stats{}
 	m.TraceFn = nil
 }
-
-// SetOutput directs console syscall output to w.
-func (m *Machine) SetOutput(w io.Writer) { m.out = w }
-
-// Mem exposes the machine memory.
-func (m *Machine) Mem() *program.Memory { return m.mem }
-
-// PC returns the current program counter.
-//
-//lint:hotpath
-func (m *Machine) PC() uint32 { return m.pc }
 
 // Reg returns register x[i].
 //
 //lint:hotpath
 func (m *Machine) Reg(i int) uint32 { return m.regs[i] }
 
-// InstCount returns the retired instruction count.
-func (m *Machine) InstCount() uint64 { return m.count }
-
-// Exited reports whether the program executed the exit syscall.
-//
-//lint:hotpath
-func (m *Machine) Exited() (bool, int32) { return m.exited, m.exitCode }
-
 // Stats returns the accumulated statistics.
 func (m *Machine) Stats() *Stats { return &m.stats }
 
-//lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fault(kind FaultKind, msg string, args ...any) error {
-	return &Fault{Kind: kind, PC: m.pc, Count: m.count, Msg: fmt.Sprintf(msg, args...)}
-}
-
-// fetchFault reports a fetch from a misaligned PC or one outside text,
-// with the image's own fetch error as the message.
+// fault and fetchFault build a fault at the current instruction
+// (emu.Frame). They are local cold-path wrappers so that Step's fault
+// branches stay off the hot-path allocation budget.
 //
 //lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fetchFault() error {
-	_, err := m.image.FetchWord(m.pc)
-	return m.fault(FaultFetch, "%v", err)
+func (m *Machine) fault(kind FaultKind, msg string, args ...any) error {
+	return m.Fault(kind, msg, args...)
 }
+
+//lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) fetchFault() error { return m.FetchFault() }
 
 // Step executes one instruction. It returns io.EOF after exit.
 //
 //lint:hotpath
 func (m *Machine) Step() error {
-	if m.exited {
+	if m.Halted {
 		return io.EOF
 	}
-	i := (m.pc - m.image.TextBase) / program.InstructionBytes
-	if m.pc%program.InstructionBytes != 0 || uint64(i) >= uint64(len(m.dec)) {
+	i := (m.PCReg - m.Image.TextBase) / program.InstructionBytes
+	if m.PCReg%program.InstructionBytes != 0 || uint64(i) >= uint64(len(m.dec)) {
 		return m.fetchFault()
 	}
 	inst := m.dec[i]
 	op := inst.Op
 	if op == riscv.ILLEGAL {
-		return m.fault(FaultDecode, "illegal instruction %#08x", m.image.Text[i])
+		return m.fault(FaultDecode, "illegal instruction %#08x", m.Image.Text[i])
 	}
 
 	rs1 := m.regs[inst.Rs1]
 	rs2 := m.regs[inst.Rs2]
-	nextPC := m.pc + 4
+	nextPC := m.PCReg + 4
 	var result uint32
 	var memAddr uint32
 	writes := inst.WritesRd()
@@ -248,7 +174,7 @@ func (m *Machine) Step() error {
 		case riscv.LUI:
 			result = uint32(inst.Imm)
 		case riscv.AUIPC:
-			result = m.pc + uint32(inst.Imm)
+			result = m.PCReg + uint32(inst.Imm)
 		case riscv.FENCE:
 			// no-op
 		default:
@@ -265,7 +191,7 @@ func (m *Machine) Step() error {
 		if addr%uint32(width) != 0 {
 			return m.fault(FaultMisaligned, "misaligned %s at %#08x", op, addr)
 		}
-		result = riscv.ExtendLoad(op, m.mem.Load(addr, width))
+		result = riscv.ExtendLoad(op, m.Memory.Load(addr, width))
 		m.stats.Loads++
 	case riscv.ClassStore:
 		addr := rs1 + uint32(inst.Imm)
@@ -274,18 +200,18 @@ func (m *Machine) Step() error {
 		if addr%uint32(width) != 0 {
 			return m.fault(FaultMisaligned, "misaligned %s at %#08x", op, addr)
 		}
-		m.mem.Store(addr, rs2, width)
+		m.Memory.Store(addr, rs2, width)
 		m.stats.Stores++
 	case riscv.ClassBranch:
 		m.stats.Branches++
 		if riscv.BranchTaken(op, rs1, rs2) {
 			m.stats.TakenBranches++
-			nextPC = m.pc + uint32(inst.Imm)
+			nextPC = m.PCReg + uint32(inst.Imm)
 		}
 	case riscv.ClassJump:
-		result = m.pc + 4
+		result = m.PCReg + 4
 		if op == riscv.JAL {
-			nextPC = m.pc + uint32(inst.Imm)
+			nextPC = m.PCReg + uint32(inst.Imm)
 		} else {
 			nextPC = (rs1 + uint32(inst.Imm)) &^ 1
 		}
@@ -300,7 +226,7 @@ func (m *Machine) Step() error {
 			return err
 		}
 		if m.regs[riscv.RegA7] == SysCycle {
-			result = uint32(m.count)
+			result = uint32(m.Count)
 			writes = true
 			inst.Rd = riscv.RegA0
 		}
@@ -309,14 +235,14 @@ func (m *Machine) Step() error {
 	if writes && inst.Rd != 0 {
 		m.regs[inst.Rd] = result
 	}
-	prevPC := m.pc
-	m.pc = nextPC
-	m.count++
+	prevPC := m.PCReg
+	m.PCReg = nextPC
+	m.Count++
 	m.stats.Retired[op]++
 	if m.TraceFn != nil {
-		m.TraceFn(Retired{Count: m.count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, MemAddr: memAddr})
+		m.TraceFn(Retired{Count: m.Count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, MemAddr: memAddr})
 	}
-	if m.exited {
+	if m.Halted {
 		return io.EOF
 	}
 	return nil
@@ -336,32 +262,16 @@ func (m *Machine) syscall() error {
 	arg := m.regs[riscv.RegA0]
 	switch fn {
 	case SysExit:
-		m.exitCode = int32(arg)
-		m.exited = true
+		m.ExitCode = int32(arg)
+		m.Halted = true
 	case SysPutc:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = append(m.ioBuf[:0], byte(arg))
-		m.out.Write(m.ioBuf)
+		m.PutByte(byte(arg))
 	case SysPuti:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = strconv.AppendInt(m.ioBuf[:0], int64(int32(arg)), 10)
-		m.out.Write(m.ioBuf)
+		m.PutInt(int64(int32(arg)), 10)
 	case SysPutu:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = strconv.AppendUint(m.ioBuf[:0], uint64(arg), 10)
-		m.out.Write(m.ioBuf)
+		m.PutUint(uint64(arg), 10)
 	case SysPutx:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = strconv.AppendUint(m.ioBuf[:0], uint64(arg), 16)
-		m.out.Write(m.ioBuf)
+		m.PutUint(uint64(arg), 16)
 	case SysCycle:
 		// handled by caller (writes a0)
 	default:
@@ -373,81 +283,70 @@ func (m *Machine) syscall() error {
 // Clone returns an independent copy of the architectural state (fresh
 // statistics, discarded output) for oracle replay.
 func (m *Machine) Clone() *Machine {
-	n := &Machine{
-		image:    m.image,
-		mem:      m.mem.Clone(),
-		pc:       m.pc,
-		regs:     m.regs,
-		count:    m.count,
-		exited:   m.exited,
-		exitCode: m.exitCode,
-		out:      io.Discard,
-		dec:      m.dec,
+	return &Machine{Frame: m.Frame.Clone(), regs: m.regs, dec: m.dec}
+}
+
+// Checkpoint captures the architectural state — the frame plus the 32
+// registers — so execution can later be rewound with Restore. The
+// snapshot is independent of the machine and can be restored any number
+// of times.
+func (m *Machine) Checkpoint() *emu.Checkpoint {
+	c := m.Frame.Checkpoint()
+	c.Regs = append([]uint32(nil), m.regs[:]...)
+	return c
+}
+
+// Restore rewinds the machine to a RISC-V checkpoint taken earlier on
+// the same image, reusing the machine's page frames rather than
+// reallocating. The checkpoint remains valid for further Restore calls.
+func (m *Machine) Restore(c *emu.Checkpoint) {
+	m.Frame.Restore(c)
+	copy(m.regs[:], c.Regs)
+}
+
+// SetWarm arms (or, with nil, disarms) functional warming through
+// TraceFn (core.Emulator).
+func (m *Machine) SetWarm(w *uarch.WarmState) {
+	if w == nil {
+		m.TraceFn = nil
+		return
 	}
-	return n
-}
-
-// Checkpoint is an opaque snapshot of the architectural state (PC,
-// registers, count, memory, exit status). Statistics and the output
-// writer are not part of the snapshot.
-type Checkpoint struct {
-	pc       uint32
-	regs     [32]uint32
-	count    uint64
-	mem      *program.Memory
-	exited   bool
-	exitCode int32
-}
-
-// Count returns the retired instruction count at which the checkpoint
-// was taken.
-func (c *Checkpoint) Count() uint64 { return c.count }
-
-// PC returns the checkpointed program counter.
-func (c *Checkpoint) PC() uint32 { return c.pc }
-
-// Reg returns checkpointed register x[i].
-func (c *Checkpoint) Reg(i int) uint32 { return c.regs[i] }
-
-// Mem exposes the checkpointed memory. Callers must treat it as
-// read-only: the checkpoint stays valid for further Restore calls.
-func (c *Checkpoint) Mem() *program.Memory { return c.mem }
-
-// Exited reports the checkpointed exit status.
-func (c *Checkpoint) Exited() (bool, int32) { return c.exited, c.exitCode }
-
-// Checkpoint captures the architectural state so execution can later be
-// rewound with Restore. The snapshot is independent of the machine and
-// can be restored any number of times.
-func (m *Machine) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		pc: m.pc, regs: m.regs, count: m.count,
-		mem: m.mem.Clone(), exited: m.exited, exitCode: m.exitCode,
+	m.TraceFn = func(r Retired) {
+		w.Inst(r.PC)
+		if r.MemAddr != 0 {
+			w.Data(r.MemAddr)
+		}
+		switch r.Inst.Op.Class() {
+		case riscv.ClassBranch:
+			w.Branch(r.PC, r.NextPC != r.PC+program.InstructionBytes)
+		case riscv.ClassJump:
+			h := r.Inst.Hints()
+			if h.Call {
+				w.Call(r.PC + program.InstructionBytes)
+			}
+			if h.Return {
+				w.Return()
+			}
+			if h.Indirect {
+				w.Indirect(r.PC, r.NextPC)
+			}
+		}
 	}
-}
-
-// Restore rewinds the machine to a checkpoint taken earlier on the same
-// image, reusing the machine's page frames rather than reallocating.
-// The checkpoint remains valid for further Restore calls.
-func (m *Machine) Restore(c *Checkpoint) {
-	m.pc, m.regs, m.count = c.pc, c.regs, c.count
-	m.mem.CopyFrom(c.mem)
-	m.exited, m.exitCode = c.exited, c.exitCode
 }
 
 // Run executes until exit, a fault, or maxInsns instructions. Reaching
 // the limit without exit is an error.
 func (m *Machine) Run(maxInsns uint64) (uint64, error) {
-	start := m.count
-	for m.count-start < maxInsns {
+	start := m.Count
+	for m.Count-start < maxInsns {
 		if err := m.Step(); err != nil {
 			if err == io.EOF {
-				return m.count - start, nil
+				return m.Count - start, nil
 			}
-			return m.count - start, err
+			return m.Count - start, err
 		}
 	}
-	return m.count - start, m.fault(FaultLimit, "instruction limit %d reached without exit", maxInsns)
+	return m.Count - start, m.fault(FaultLimit, "instruction limit %d reached without exit", maxInsns)
 }
 
 // RunUntil executes until the retired instruction count reaches target,
@@ -459,7 +358,7 @@ func (m *Machine) Run(maxInsns uint64) (uint64, error) {
 //
 //lint:hotpath
 func (m *Machine) RunUntil(target uint64) error {
-	for m.count < target && !m.exited {
+	for m.Count < target && !m.Halted {
 		if err := m.Step(); err != nil {
 			if err == io.EOF {
 				return nil

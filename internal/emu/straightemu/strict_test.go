@@ -224,8 +224,8 @@ func TestCheckpointRestore(t *testing.T) {
 		}
 	}
 	cp := m.Checkpoint()
-	if cp.Count() != 3 {
-		t.Fatalf("checkpoint count = %d, want 3", cp.Count())
+	if cp.Count != 3 {
+		t.Fatalf("checkpoint count = %d, want 3", cp.Count)
 	}
 	for m.Step() == nil {
 	}

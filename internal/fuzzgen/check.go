@@ -9,6 +9,7 @@ import (
 
 	"straight/internal/core"
 	"straight/internal/cores/engine"
+	"straight/internal/emu"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/program"
@@ -220,7 +221,7 @@ func lockstepStraight(p *Prog, simg *program.Image, opts CheckOptions,
 	cfg := m.FourWay()
 	cfg.MaxDistance = p.Cfg.MaxDistance
 
-	var cp *straightemu.Checkpoint
+	var cp *emu.Checkpoint
 	var cpSeq uint64
 	var outBuf bytes.Buffer
 	sim := m.New(cfg, simg, engine.Options{Output: &outBuf, Tracer: opts.Tracer})
@@ -338,7 +339,7 @@ func referenceMachine(t core.Target) *core.Machine {
 // replays up to the divergence, rendering the golden retirement tail the
 // core should have produced. It is the reporting path the step-wise
 // Checkpoint/Restore API exists for.
-func goldenWindow(ref *straightemu.Machine, simg *program.Image, cp *straightemu.Checkpoint, cpSeq, seq uint64) string {
+func goldenWindow(ref *straightemu.Machine, simg *program.Image, cp *emu.Checkpoint, cpSeq, seq uint64) string {
 	if cp == nil || seq < cpSeq {
 		return ""
 	}

@@ -194,6 +194,33 @@ func (i Inst) IsControl() bool {
 	return c == ClassBranch || c == ClassJump
 }
 
+// Hints says how a committed control transfer trains the return-address
+// stack and the BTB. The core's front end, its RAS repair after a
+// misprediction and the sampled simulator's functional warming all read
+// it, so the three agree.
+type Hints struct {
+	// Call pushes the return address pc+4; Return pops it.
+	Call, Return bool
+	// Indirect: the target comes from a register, so it enters the BTB.
+	Indirect bool
+}
+
+// Hints classifies a jump by the standard RAS hints: a JAL or JALR that
+// links ra is a call, a JALR to ra that links nothing is a return, and
+// every JALR is indirect.
+//
+//lint:hotpath
+func (i Inst) Hints() Hints {
+	if i.Op != JAL && i.Op != JALR {
+		return Hints{}
+	}
+	return Hints{
+		Call:     i.Rd == RegRA,
+		Return:   i.Op == JALR && i.Rd == 0 && i.Rs1 == RegRA,
+		Indirect: i.Op == JALR,
+	}
+}
+
 // RegNames is the ABI register naming (x0..x31).
 var RegNames = [32]string{
 	"zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",

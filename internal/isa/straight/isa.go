@@ -291,6 +291,33 @@ func (i Inst) IsControl() bool {
 	return c == ClassBranch || c == ClassJump
 }
 
+// Hints says how a committed control transfer trains the return-address
+// stack and the BTB. The core's front end, its RAS repair after a
+// misprediction and the sampled simulator's functional warming all read
+// it, so the three agree.
+type Hints struct {
+	// Call pushes the return address pc+4; Return pops it.
+	Call, Return bool
+	// Indirect: the target comes from a register, so it enters the BTB.
+	Indirect bool
+}
+
+// Hints classifies a jump: JAL and JALR are calls, JR is a return, and
+// the register-target JALR and JR are indirect.
+//
+//lint:hotpath
+func (i Inst) Hints() Hints {
+	switch i.Op {
+	case JAL:
+		return Hints{Call: true}
+	case JALR:
+		return Hints{Call: true, Indirect: true}
+	case JR:
+		return Hints{Return: true, Indirect: true}
+	}
+	return Hints{}
+}
+
 // WritesLink reports whether the instruction writes a return address.
 func (i Inst) WritesLink() bool { return i.Op == JAL || i.Op == JALR }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"straight/internal/cores/engine"
+	"straight/internal/emu"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/program"
@@ -102,7 +103,7 @@ func TestRestartKeepsDecodeTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			other := *im
-			var ck engine.ArchState
+			var ck *emu.Checkpoint
 			if k.Kind == KindStraight {
 				m := straightemu.New(im)
 				if err := m.RunUntil(1000); err != nil {

@@ -320,35 +320,3 @@ func (m *Memory) AppendBinary(b []byte) []byte {
 	}
 	return b
 }
-
-// DecodeBinary replaces m's contents with a memory serialized by
-// AppendBinary, returning the remaining bytes. It validates the framing
-// (length, strictly ascending page numbers) so a truncated or corrupted
-// stream is reported instead of silently misloading.
-func (m *Memory) DecodeBinary(data []byte) (rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("program: memory decode: truncated page count")
-	}
-	n := binary.LittleEndian.Uint32(data)
-	data = data[4:]
-	const recSize = 4 + pageSize
-	if uint64(len(data)) < uint64(n)*recSize {
-		return nil, fmt.Errorf("program: memory decode: %d pages declared, %d bytes remain", n, len(data))
-	}
-	m.Reset()
-	prev := int64(-1)
-	for i := uint32(0); i < n; i++ {
-		pn := binary.LittleEndian.Uint32(data)
-		if pn >= 1<<(32-pageShift) {
-			return nil, fmt.Errorf("program: memory decode: page number %#x outside the 32-bit address space", pn)
-		}
-		if int64(pn) <= prev {
-			return nil, fmt.Errorf("program: memory decode: page numbers not strictly ascending at %#x", pn)
-		}
-		prev = int64(pn)
-		p := m.page(pn<<pageShift, true)
-		copy(p[:], data[4:recSize])
-		data = data[recSize:]
-	}
-	return data, nil
-}

@@ -93,9 +93,9 @@ func TestLastRecordWins(t *testing.T) {
 func TestRecovery(t *testing.T) {
 	const n = 10
 	cases := []struct {
-		name    string
-		damage  func(t *testing.T, path string)
-		salt    uint64 // reopen salt (write salt is 1)
+		name   string
+		damage func(t *testing.T, path string)
+		salt   uint64 // reopen salt (write salt is 1)
 		surviving
 	}{
 		{
@@ -146,9 +146,9 @@ func TestRecovery(t *testing.T) {
 			surviving: surviving{entries: 0, intactPrefix: 0, tailDropped: true},
 		},
 		{
-			name: "version-salt bump invalidates",
+			name:   "version-salt bump invalidates",
 			damage: func(t *testing.T, path string) {},
-			salt:  2,
+			salt:   2,
 			surviving: surviving{
 				entries: 0, intactPrefix: 0, invalidated: true,
 			},

@@ -23,10 +23,7 @@ import (
 
 	"straight/internal/core"
 	"straight/internal/cores/engine"
-	"straight/internal/emu/riscvemu"
-	"straight/internal/emu/straightemu"
-	"straight/internal/isa/riscv"
-	"straight/internal/isa/straight"
+	"straight/internal/emu"
 	"straight/internal/program"
 	"straight/internal/resultstore"
 	"straight/internal/uarch"
@@ -95,99 +92,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// checkpoint is what the fast-forward machine hands the window runner:
-// a restartable architectural snapshot that also serializes canonically
-// (the serialization is the content-address of the window).
-type checkpoint interface {
-	engine.ArchState
-	MarshalBinary() ([]byte, error)
-}
-
-// ffMachine is the fast-forward surface of the two functional emulators.
-type ffMachine interface {
-	RunUntil(target uint64) error
-	InstCount() uint64
-	Exited() (bool, int32)
-	SetOutput(w io.Writer)
-	TakeCheckpoint() checkpoint
-	// SetWarm arms (or, with nil, disarms) functional warming: every
-	// retired instruction trains w's replica caches, direction predictor
-	// and BTB via the emulator's retire trace hook.
-	SetWarm(w *uarch.WarmState)
-}
-
-type straightFF struct{ *straightemu.Machine }
-
-func (f straightFF) TakeCheckpoint() checkpoint { return f.Checkpoint() }
-
-func (f straightFF) SetWarm(w *uarch.WarmState) {
-	if w == nil {
-		f.Machine.TraceFn = nil
-		return
-	}
-	f.Machine.TraceFn = func(r straightemu.Retired) {
-		w.Inst(r.PC)
-		if r.MemAddr != 0 {
-			w.Data(r.MemAddr)
-		}
-		switch r.Inst.Op.Class() {
-		case straight.ClassBranch:
-			w.Branch(r.PC, r.NextPC != r.PC+program.InstructionBytes)
-		case straight.ClassJump:
-			// RAS and BTB training mirror straightcore's policy exactly:
-			// JAL/JALR push pc+4 and JR pops (RASRecover), while only the
-			// indirect JALR/JR enter the BTB (UpdatesBTB).
-			switch r.Inst.Op {
-			case straight.JAL:
-				w.Call(r.PC + program.InstructionBytes)
-			case straight.JALR:
-				w.Call(r.PC + program.InstructionBytes)
-				w.Indirect(r.PC, r.NextPC)
-			case straight.JR:
-				w.Return()
-				w.Indirect(r.PC, r.NextPC)
-			}
-		}
-	}
-}
-
-type riscvFF struct{ *riscvemu.Machine }
-
-func (f riscvFF) TakeCheckpoint() checkpoint { return f.Checkpoint() }
-
-func (f riscvFF) SetWarm(w *uarch.WarmState) {
-	if w == nil {
-		f.Machine.TraceFn = nil
-		return
-	}
-	f.Machine.TraceFn = func(r riscvemu.Retired) {
-		w.Inst(r.PC)
-		if r.MemAddr != 0 {
-			w.Data(r.MemAddr)
-		}
-		switch r.Inst.Op.Class() {
-		case riscv.ClassBranch:
-			w.Branch(r.PC, r.NextPC != r.PC+program.InstructionBytes)
-		case riscv.ClassJump:
-			// RAS and BTB training mirror sscore's policy (cgcore embeds
-			// it): JAL/JALR with rd=ra push pc+4, JALR with rd=x0/rs1=ra
-			// pops (RASRecover); only the indirect JALR enters the BTB
-			// (UpdatesBTB).
-			if r.Inst.Op == riscv.JAL || r.Inst.Op == riscv.JALR {
-				if r.Inst.Rd == riscv.RegRA {
-					w.Call(r.PC + program.InstructionBytes)
-				}
-				if r.Inst.Rd == 0 && r.Inst.Rs1 == riscv.RegRA {
-					w.Return()
-				}
-			}
-			if r.Inst.Op == riscv.JALR {
-				w.Indirect(r.PC, r.NextPC)
-			}
-		}
-	}
-}
-
 // Target binds a workload image to a core policy and configuration.
 type Target struct {
 	// Policy is a machine-table policy name ("straight", "ss", "cg").
@@ -196,7 +100,6 @@ type Target struct {
 	Img    *program.Image
 
 	machine *core.Machine
-	newFF   func() ffMachine
 }
 
 // NewTarget builds a sampling target for a policy name (a machine in
@@ -207,16 +110,7 @@ func NewTarget(policy string, cfg uarch.Config, img *program.Image) (*Target, er
 	if err != nil {
 		return nil, fmt.Errorf("sampling: %w", err)
 	}
-	t := &Target{Policy: policy, Cfg: cfg, Img: img, machine: m}
-	switch m.Target {
-	case core.TargetStraight:
-		t.newFF = func() ffMachine { return straightFF{straightemu.New(img)} }
-	case core.TargetRISCV:
-		t.newFF = func() ffMachine { return riscvFF{riscvemu.New(img)} }
-	default:
-		return nil, fmt.Errorf("sampling: no fast-forward for %s's ISA", policy)
-	}
-	return t, nil
+	return &Target{Policy: policy, Cfg: cfg, Img: img, machine: m}, nil
 }
 
 // Options control one sampled run.
@@ -311,7 +205,7 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 // error, once the pool has stopped on a failed window; the pool then
 // holds the error.
 func fastForward(t *Target, plan Plan, opts Options, limit uint64, pool *windowPool) (*ffSeq, error) {
-	ff := t.newFF()
+	ff := t.machine.ISA().NewEmulator(t.Img)
 	if opts.Output != nil {
 		ff.SetOutput(opts.Output)
 	}
@@ -347,7 +241,7 @@ func fastForward(t *Target, plan Plan, opts Options, limit uint64, pool *windowP
 		if done, _ := ff.Exited(); done {
 			break
 		}
-		ck := ff.TakeCheckpoint()
+		ck := ff.Checkpoint()
 		enc, err := ck.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("sampling: marshal checkpoint @%d: %w", target, err)
@@ -423,7 +317,7 @@ type windowJob struct {
 	idx   int
 	start uint64 // checkpoint position
 	enc   []byte // ck.MarshalBinary(): the window's content address
-	ck    checkpoint
+	ck    *emu.Checkpoint
 	warm  *uarch.WarmState
 	out   *windowOut
 }

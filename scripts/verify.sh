@@ -11,6 +11,8 @@ set -ex
 
 go build ./...
 go vet ./...
+# Formatting gate: gofmt lists nothing.
+test -z "$(gofmt -l .)"
 
 # Project analyzers (DESIGN.md §13): resetcomplete, hotpathalloc,
 # statscoverage, tracerguard, run through the vet -vettool protocol.
