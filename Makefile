@@ -25,15 +25,16 @@ staticcheck:
 
 # Short fuzzing pass over the instruction decoder, the assembler, the
 # sampler's decoders of the entries it reads back from the result store
-# (cached fast-forward sequences and window payloads), and the
-# differential lockstep harness. Fast-forward seeds carry whole
-# checkpoints, so minimizing each new input is capped at 100 executions
-# instead of the default 60 s.
+# (cached fast-forward sequences and window payloads), the straightd job
+# decoder, and the differential lockstep harness. Fast-forward seeds
+# carry whole checkpoints, so minimizing each new input is capped at 100
+# executions instead of the default 60 s.
 fuzz:
 	go test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/isa/straight
 	go test -run=NONE -fuzz=FuzzAssemble -fuzztime=30s ./internal/sasm
 	go test -run=NONE -fuzz=FuzzDecodeFFSeq -fuzztime=30s -fuzzminimizetime=100x ./internal/sampling
 	go test -run=NONE -fuzz=FuzzDecodeWindow -fuzztime=30s ./internal/sampling
+	go test -run=NONE -fuzz=FuzzJobRequest -fuzztime=30s ./internal/served
 	go test -run=NONE -fuzz=FuzzLockstep -fuzztime=10s ./internal/fuzzgen
 
 # Randomized differential co-simulation sweep (see DESIGN.md §10).

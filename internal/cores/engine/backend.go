@@ -428,7 +428,9 @@ func (c *Core[I]) commit() error {
 			c.mem.Store(u.MemAddr, u.LSQE.Data, width)
 			c.hier.AccessData(c.Cycle, u.MemAddr) // fill/dirty the line
 		}
-		if u.IsLoad && c.Cfg.MemDep == uarch.MemDepPredict && c.mdp.ShouldWait(u.PC) {
+		// A predicted-wait load decays its entry only if it read memory:
+		// one that forwarded from an older store was truly dependent.
+		if u.IsLoad && c.Cfg.MemDep == uarch.MemDepPredict && u.LSQE.FwdSeq == 0 && c.mdp.ShouldWait(u.PC) {
 			c.mdp.RecordSuccess(u.PC)
 		}
 

@@ -57,19 +57,20 @@ type Plan struct {
 	WarmMem uint64 `json:"warm_mem,omitempty"`
 }
 
-// DefaultPlan measures ~1.6% of the program: a 128k detailed warmup and
+// DefaultPlan measures ~1.6% of the program: a 32k detailed warmup and
 // a 16k measured window every 1M instructions, with functional warming
-// over the last quarter of each interval. The warmup is deep because
-// detailed warmup depth — not functional warming — is what decays the
-// restart bias on the 4-wide configs (DESIGN.md §16.4); 128k holds the
-// sampled-vs-full IPC gap to a few percent on every kernel, at a cold
-// speedup of ~7-8× over full detailed simulation with two window workers
-// on two CPUs (EXPERIMENTS.md). Repeat runs against a
-// result store skip the fast-forward entirely (the checkpoint sequence
-// is content-addressed too) and reduce to hashing — the ~100× regime.
-// Dial Warmup down (e.g. 32768) to trade accuracy for cold speed.
+// over the last quarter of each interval. The warmup depth is the
+// measured knee on the long workload (DESIGN.md §16.4): at 32k every
+// 4-wide kernel's sampled IPC on default-scale dhrystone-long is within
+// 3.6% of full detail, and 24k already costs up to 8.5%. Deeper
+// warmups do not close the rest of the gap (at 128k straight-4way is
+// still −3.5% and cg-4way settles at +5.4%), so the warmup, which is
+// most of a cold run's detailed work, is kept at the knee.
+// Repeat runs against a result store skip the fast-forward entirely
+// (the checkpoint sequence is content-addressed too) and reduce to
+// hashing — the ~100× regime.
 func DefaultPlan() Plan {
-	return Plan{Interval: 1_000_000, Warmup: 131_072, Window: 16_384, WarmMem: 250_000}
+	return Plan{Interval: 1_000_000, Warmup: 32_768, Window: 16_384, WarmMem: 250_000}
 }
 
 // Validate rejects degenerate plans. Window must fit inside the

@@ -30,14 +30,17 @@ func densePlan() sampling.Plan {
 }
 
 // matrixCase is one workload row of the accuracy matrix, crossed with
-// every kernel of the PR 9 differential matrix. The workloads run at
-// larger iteration counts than the differential tests and each carries
-// its own interval plan: the detailed-warmup depth is the knob that
-// bounds the restart bias (DESIGN.md §16), and the depth a workload
-// needs is an empirical property of how slowly its branch-predictor
-// equilibrium re-forms after a restore. The depths below are the
-// measured knees — halving any of them pushes at least one 4-wide cell
-// past the 2% bound.
+// every kernel of the differential matrix. The workloads run at larger
+// iteration counts than the differential tests and each carries its
+// own interval plan: the detailed-warmup depth is the knob that bounds
+// the restart bias (DESIGN.md §16.4), and the depth a workload needs is
+// an empirical property of how slowly its predictor state re-forms
+// after a restore. The depths below are the measured knees — halving
+// any of them pushes at least one 4-wide cell past the 2% bound
+// (micro-fib at 8k: ss-4way −2.6%; micro-branch at 32k: ss-4way −4.3%;
+// dhrystone at 40k: straight-4way −2.2%). Micro-branch has no
+// memory-dependence violations, so the memory-dependence training
+// repair left its knee where it was; the other two halved.
 type matrixCase struct {
 	w     workloads.Workload
 	iters int
@@ -46,9 +49,9 @@ type matrixCase struct {
 
 func matrixCases() []matrixCase {
 	return []matrixCase{
-		{workloads.MicroFib, 8, sampling.Plan{Interval: 4096, Warmup: 32768, Window: 4096}},
+		{workloads.MicroFib, 8, sampling.Plan{Interval: 4096, Warmup: 16384, Window: 4096}},
 		{workloads.MicroBranch, 10, sampling.Plan{Interval: 8192, Warmup: 65536, Window: 8192}},
-		{workloads.Dhrystone, 100, sampling.Plan{Interval: 8192, Warmup: 163840, Window: 8192}},
+		{workloads.Dhrystone, 100, sampling.Plan{Interval: 8192, Warmup: 81920, Window: 8192}},
 	}
 }
 

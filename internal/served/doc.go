@@ -12,7 +12,8 @@
 //	                   records, one per finished point (in completion
 //	                   order, each flushed immediately) followed by a
 //	                   terminal {"done": true} summary record. A body
-//	                   over 1 MiB is refused with 413 before any point
+//	                   over 1 MiB is refused with 413, and a job of
+//	                   more than 4096 points with 400, before any point
 //	                   runs.
 //	GET  /v1/stats   — ServerStats snapshot: job/point counters, the
 //	                   coalescing counters, result-store stats and

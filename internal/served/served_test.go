@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -313,10 +315,45 @@ func TestOversizedJobRefused(t *testing.T) {
 	}
 }
 
+// TestTooManyPointsRefused: a job over maxJobPoints gets 400 with a
+// message naming the limit and starts no simulation, while a job of
+// exactly maxJobPoints decodes.
+func TestTooManyPointsRefused(t *testing.T) {
+	job := func(n int) string {
+		return `{"points":[` + strings.TrimSuffix(strings.Repeat(`{"Core":"emu-riscv"},`, n), ",") + `]}`
+	}
+	if req, err := decodeJob(strings.NewReader(job(maxJobPoints))); err != nil || len(req.Points) != maxJobPoints {
+		t.Fatalf("job of exactly %d points: %d points, %v", maxJobPoints, len(req.Points), err)
+	}
+
+	executed := 0
+	srv := NewServer(Config{Workers: 1, Exec: func(p bench.SweepPoint) (bench.PointResult, error) {
+		executed++
+		return bench.PointResult{Point: p}, nil
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(job(maxJobPoints+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	if want := fmt.Sprintf("%d points, over the limit of %d per job", maxJobPoints+1, maxJobPoints); !strings.Contains(string(msg), want) {
+		t.Errorf("response %q does not say %q", msg, want)
+	}
+	if st := srv.Stats(); executed != 0 || st.JobsStarted != 0 {
+		t.Errorf("oversized job ran: %d points executed, %d jobs started", executed, st.JobsStarted)
+	}
+}
+
 // batchRecorder is a bench.Remote that records the encoded size of each
 // batch it is handed and then fails it, so an experiment stops after
 // submitting its one batch without simulating anything.
-type batchRecorder struct{ sizes map[string]int }
+type batchRecorder struct{ sizes, points map[string]int }
 
 var errRecorded = errors.New("batch recorded")
 
@@ -326,14 +363,15 @@ func (b *batchRecorder) Run(points []bench.SweepPoint) ([]bench.PointResult, err
 		return nil, err
 	}
 	b.sizes[points[0].Section] = len(raw)
+	b.points[points[0].Section] = len(points)
 	return nil, errRecorded
 }
 
 // TestLargestExperimentBatchFits encodes every batch cmd/experiments
-// submits at default scale (one per figure) and requires the largest
-// to stay well under maxJobBytes.
+// submits at default scale (one per figure) and requires each to stay
+// well under maxJobBytes and maxJobPoints.
 func TestLargestExperimentBatchFits(t *testing.T) {
-	rec := &batchRecorder{sizes: map[string]int{}}
+	rec := &batchRecorder{sizes: map[string]int{}, points: map[string]int{}}
 	bench.SetRemote(rec)
 	defer bench.SetRemote(nil)
 	s := bench.ScaleDefault
@@ -361,8 +399,13 @@ func TestLargestExperimentBatchFits(t *testing.T) {
 			largest, section = n, sec
 		}
 	}
-	t.Logf("largest batch: %s, %d bytes (limit %d)", section, largest, maxJobBytes)
+	t.Logf("largest batch: %s, %d bytes (limit %d), %d points (limit %d)", section, largest, maxJobBytes, rec.points[section], maxJobPoints)
 	if largest == 0 || largest > maxJobBytes/16 {
 		t.Errorf("largest batch %s encodes to %d bytes, want under %d (1/16 of the limit)", section, largest, maxJobBytes/16)
+	}
+	for sec, n := range rec.points {
+		if n > maxJobPoints/16 {
+			t.Errorf("batch %s holds %d points, want at most %d (1/16 of the limit)", sec, n, maxJobPoints/16)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -154,23 +155,47 @@ func (s *Server) Shutdown() {
 // buffered.
 const maxJobBytes = 1 << 20
 
-// handleRun streams one PointUpdate per finished point, then a terminal
-// summary record. A body over maxJobBytes is refused with 413 before any
-// point runs.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+// maxJobPoints bounds the points of one job. Each point gets its own
+// goroutine while it waits for a worker slot, and a 1 MiB body can
+// carry tens of thousands of minimal points; the largest batch
+// cmd/experiments sends holds 14 (TestLargestExperimentBatchFits).
+const maxJobPoints = 4096
+
+// errJobTooLarge marks a body over maxJobBytes (413, not 400).
+var errJobTooLarge = fmt.Errorf("body exceeds %d bytes", maxJobBytes)
+
+// decodeJob reads and validates one job body: well-formed JSON, at most
+// maxJobBytes (errJobTooLarge), and 1 to maxJobPoints points.
+func decodeJob(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxJobBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("bad job: body exceeds %d bytes", maxJobBytes), http.StatusRequestEntityTooLarge)
-			return
+			return req, errJobTooLarge
 		}
-		http.Error(w, "bad job: "+err.Error(), http.StatusBadRequest)
-		return
+		return req, err
 	}
 	if len(req.Points) == 0 {
-		http.Error(w, "bad job: no points", http.StatusBadRequest)
+		return req, errors.New("no points")
+	}
+	if len(req.Points) > maxJobPoints {
+		return req, fmt.Errorf("%d points, over the limit of %d per job", len(req.Points), maxJobPoints)
+	}
+	return req, nil
+}
+
+// handleRun streams one PointUpdate per finished point, then a terminal
+// summary record. A body over maxJobBytes is refused with 413, and a
+// malformed job or one over maxJobPoints with 400, before any point
+// runs.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJob(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, errJobTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad job: "+err.Error(), code)
 		return
 	}
 	s.mu.Lock()

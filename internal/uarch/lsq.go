@@ -28,8 +28,10 @@ type LSQEntry struct {
 	AddrReady bool
 	Data      uint32
 	DataReady bool
-	Executed  bool   // loads: value obtained
-	fwdSeq    uint64 // loads: Seq of the store that forwarded the value
+	Executed  bool // loads: value obtained
+	// FwdSeq is, for a load, the Seq of the store that forwarded its
+	// value (LookupLoad sets it); 0 means the value came from memory.
+	FwdSeq uint64
 }
 
 // lsqRing is a fixed-capacity circular buffer of LSQEntry slots. The
@@ -103,9 +105,10 @@ const (
 )
 
 // LookupLoad checks older stores for the load entry. On LoadForwarded the
-// forwarded value (already size-extracted, unextended) is returned.
-// unknownOK selects speculation: when true, unknown older store addresses
-// are ignored (the memory-dependence predictor said "speculate").
+// forwarded value (already size-extracted, unextended) is returned and
+// the supplying store's Seq is recorded in le.FwdSeq. unknownOK selects
+// speculation: when true, unknown older store addresses are ignored (the
+// memory-dependence predictor said "speculate").
 func (q *LSQ) LookupLoad(le *LSQEntry, unknownOK bool) (LoadResult, uint32) {
 	var match *LSQEntry
 	for i := 0; i < q.stores.n; i++ {
@@ -136,6 +139,7 @@ func (q *LSQ) LookupLoad(le *LSQEntry, unknownOK bool) (LoadResult, uint32) {
 		if le.Size < 4 {
 			mask = 1<<(8*uint32(le.Size)) - 1
 		}
+		le.FwdSeq = match.U.Seq
 		return LoadForwarded, (match.Data >> shift) & mask
 	}
 	return LoadMustWait, 0
@@ -143,28 +147,23 @@ func (q *LSQ) LookupLoad(le *LSQEntry, unknownOK bool) (LoadResult, uint32) {
 
 // OldestViolation returns the oldest executed younger load that overlaps
 // a store whose address just became known — a memory-dependence violation
-// requiring a flush — or nil if there is none. The load queue is
+// requiring a flush — or nil if there is none. A load's value predates
+// the resolving store only if it came from memory or was forwarded by a
+// store older than this one; a load fed by this store or by a younger
+// one (which fully contains the load, or it would not have forwarded)
+// already holds the right bytes and is not flagged. The load queue is
 // Seq-ordered, so the first match in a head-to-tail scan is the oldest;
 // no slice is built.
 func (q *LSQ) OldestViolation(se *LSQEntry) *LSQEntry {
 	for i := 0; i < q.loads.n; i++ {
 		le := q.loads.at(i)
-		if le.U.Seq > se.U.Seq && le.Executed &&
-			overlap(se.Addr, se.Size, le.Addr, le.Size) && !le.ForwardedFrom(se) {
+		if le.U.Seq > se.U.Seq && le.Executed && le.FwdSeq < se.U.Seq &&
+			overlap(se.Addr, se.Size, le.Addr, le.Size) {
 			return le
 		}
 	}
 	return nil
 }
-
-// forwardedSeq records which store supplied a forwarded load, so a
-// just-resolved store does not flag the load it itself fed.
-func (e *LSQEntry) ForwardedFrom(se *LSQEntry) bool {
-	return e.fwdSeq != 0 && e.fwdSeq == se.U.Seq
-}
-
-// MarkForwarded records the supplying store.
-func (e *LSQEntry) MarkForwarded(storeSeq uint64) { e.fwdSeq = storeSeq }
 
 // SquashYounger drops entries with Seq > seq (recovery). Both queues are
 // Seq-ordered, so this is a tail truncation.

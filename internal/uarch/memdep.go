@@ -4,16 +4,14 @@ package uarch
 // (paper §V-A lists "memory dependency prediction"). Loads that have
 // previously violated (executed before an older overlapping store) are
 // predicted "conservative" and wait for all older store addresses;
-// others speculate freely. Entries decay so stale conservatism fades.
+// others speculate freely. Entries decay so stale conservatism fades,
+// but only on evidence of independence: a predicted-wait load that
+// forwarded from an older store did depend on it and keeps its entry.
 //
 //lint:hotpath
 type MemDepPredictor struct {
 	table []uint8 // 2-bit saturating "collided" counters
 	mask  uint32  //lint:resetless table geometry, fixed at construction
-
-	Violations   uint64
-	Predictions  uint64
-	Conservative uint64
 }
 
 // NewMemDepPredictor builds the predictor with a power-of-two table.
@@ -24,18 +22,11 @@ func NewMemDepPredictor(entries int) *MemDepPredictor {
 func (m *MemDepPredictor) idx(pc uint32) uint32 { return (pc >> 2) & m.mask }
 
 // ShouldWait predicts whether the load at pc must wait for older stores.
-func (m *MemDepPredictor) ShouldWait(pc uint32) bool {
-	m.Predictions++
-	if m.table[m.idx(pc)] >= 2 {
-		m.Conservative++
-		return true
-	}
-	return false
-}
+// It has no side effects, so issue and commit may both ask.
+func (m *MemDepPredictor) ShouldWait(pc uint32) bool { return m.table[m.idx(pc)] >= 2 }
 
 // RecordViolation trains the predictor after a disambiguation flush.
 func (m *MemDepPredictor) RecordViolation(pc uint32) {
-	m.Violations++
 	i := m.idx(pc)
 	if m.table[i] < 3 {
 		m.table[i] = 3
@@ -43,7 +34,7 @@ func (m *MemDepPredictor) RecordViolation(pc uint32) {
 }
 
 // RecordSuccess decays conservatism when a predicted-wait load turns out
-// independent.
+// independent (it committed without forwarding from a store).
 func (m *MemDepPredictor) RecordSuccess(pc uint32) {
 	i := m.idx(pc)
 	if m.table[i] > 0 {

@@ -57,14 +57,11 @@ func (b *BTB) Reset() {
 // Reset empties the return-address stack, keeping its backing array.
 func (r *RAS) Reset() { r.stack = r.stack[:0] }
 
-// Reset forgets all collision history and zeroes the counters.
+// Reset forgets all collision history.
 func (m *MemDepPredictor) Reset() {
 	for i := range m.table {
 		m.table[i] = 0
 	}
-	m.Violations = 0
-	m.Predictions = 0
-	m.Conservative = 0
 }
 
 // Reset empties both queues. Slots are recycled in place (push fully

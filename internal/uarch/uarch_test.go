@@ -269,6 +269,53 @@ func TestLSQForwardingAndViolations(t *testing.T) {
 	}
 }
 
+// TestLSQViolationRespectsForwarding: a store resolving its address
+// flags a younger overlapping load only if the load's value predates
+// it — read from memory or forwarded by an older store. A load fed by
+// a store younger than the resolving one already holds the right
+// bytes, as does the load the resolving store fed itself.
+func TestLSQViolationRespectsForwarding(t *testing.T) {
+	q := NewLSQ(8, 8)
+	s1 := q.Allocate(&UOp{Seq: 1, IsStore: true})
+	s2 := q.Allocate(&UOp{Seq: 2, IsStore: true})
+	ld := q.Allocate(&UOp{Seq: 3, IsLoad: true})
+
+	// s2 is known, s1 is not: a speculating load forwards from s2.
+	s2.Addr, s2.Size, s2.AddrReady, s2.Data, s2.DataReady = 0x100, 4, true, 0x22, true
+	ld.Addr, ld.Size, ld.AddrReady = 0x100, 4, true
+	if res, v := q.LookupLoad(ld, true); res != LoadForwarded || v != 0x22 {
+		t.Fatalf("load should forward from s2: %v %#x", res, v)
+	}
+	if ld.FwdSeq != 2 {
+		t.Fatalf("FwdSeq = %d, want the supplying store's Seq 2", ld.FwdSeq)
+	}
+	ld.Executed = true
+
+	// s1 resolves to the same word: it is older than s2, so the load's
+	// forwarded value is still the newest — no violation.
+	s1.Addr, s1.Size, s1.AddrReady, s1.Data, s1.DataReady = 0x100, 4, true, 0x11, true
+	if v := q.OldestViolation(s1); v != nil {
+		t.Errorf("load forwarded from younger store s2 was flagged when older s1 resolved")
+	}
+	// The store that fed the load does not flag it either.
+	if v := q.OldestViolation(s2); v != nil {
+		t.Errorf("load was flagged by the store that forwarded its value")
+	}
+
+	// The reverse: the load forwarded from s1, and s2 (younger than s1,
+	// older than the load) resolves late — the load read a stale value.
+	ld.FwdSeq, ld.Executed = 0, false
+	s2.AddrReady = false
+	if res, v := q.LookupLoad(ld, true); res != LoadForwarded || v != 0x11 || ld.FwdSeq != 1 {
+		t.Fatalf("load should forward from s1: %v %#x FwdSeq %d", res, v, ld.FwdSeq)
+	}
+	ld.Executed = true
+	s2.AddrReady = true
+	if v := q.OldestViolation(s2); v != ld {
+		t.Errorf("load forwarded from s1 must be flagged when s2 resolves, got %v", v)
+	}
+}
+
 func TestLSQSquashAndRetire(t *testing.T) {
 	q := NewLSQ(4, 4)
 	u1 := &UOp{Seq: 1, IsLoad: true}
